@@ -23,8 +23,7 @@ from .harness import (ExperimentConfig, MusicResult, OptimizeOnceResult,
 from .music import (MusicGrid, default_grid, extract_peaks, grid_to_csv,
                     music_spectrum, noise_subspace, rx_covariance, unvec_frame)
 from .optimizer import (OptimizerConfig, OptimizerResult, achievable_rate,
-                        channel_grad_rx, channel_grad_tx, channel_power,
-                        gram_grad, objective_grad_element, optimize,
+                        channel_power, objective_gradient, optimize,
                         penalized_objective, sensing_slack)
 from .waveforms import (AFDM, OFDM, OTFS, SymbolFrame, afdm_c1,
                         cp_phase_function, default_afdm, default_otfs,

@@ -27,7 +27,8 @@ from .geometry import random_surface
 from .music import (default_grid, extract_peaks, grid_to_csv, music_spectrum,
                     noise_subspace, rx_covariance, unvec_frame)
 from .optimizer import OptimizerConfig, OptimizerResult, achievable_rate, optimize
-from .waveforms import effective_channel, random_frame, transmit_receive, waveform_for
+from .waveforms import (default_otfs, effective_channel, random_frame,
+                        transmit_receive, waveform_for)
 
 __all__ = [
     "ExperimentConfig",
@@ -96,6 +97,16 @@ class ExperimentConfig:
         for m in self.fim_modes:
             if m not in _FIM_MODES:
                 raise ValueError(f"unknown fim mode {m!r}")
+        if "otfs" in self.waveforms:
+            default_otfs(self.block_length)   # rejects a non-square block length
+        max_taps = self.scenario_params().max_delay_taps
+        if max_taps >= self.block_length:
+            raise ValueError(f"largest delay tap {max_taps} must be below the "
+                             f"block length {self.block_length}")
+        if self.optimizer_iters < 1:
+            raise ValueError("optimizer_iters must be >= 1")
+        if self.music_grid_step_deg <= 0.0:
+            raise ValueError("music_grid_step_deg must be positive")
 
     @property
     def num_streams(self) -> int:

@@ -89,6 +89,9 @@ def music_spectrum(noise_basis, rx_geom: FimGeometry, rx_surface,
 
     The raw value at each grid point is 1 / max(||U^H b||^2, floor) with b
     the steering vector there; values are then normalized to peak one.
+    The basis rows are the receive streams, which the channel's identity
+    stream selection maps to the first d_s receive elements, so b keeps
+    those entries (all of them when d_s equals the element count).
     """
     if azimuth is None or elevation is None:
         default_az, default_el = default_grid()
@@ -99,11 +102,13 @@ def music_spectrum(noise_basis, rx_geom: FimGeometry, rx_surface,
     if azimuth.size == 0 or elevation.size == 0:
         raise ValueError("scan grid must be non-empty")
     basis = np.asarray(noise_basis)
-    if basis.shape[0] != rx_geom.num_elements:
-        raise ValueError("noise basis rows must match the receive element count")
+    if not 1 <= basis.shape[0] <= rx_geom.num_elements:
+        raise ValueError(f"noise basis has {basis.shape[0]} rows, expected 1 to "
+                         f"{rx_geom.num_elements} (one per receive stream)")
 
     az_mesh, el_mesh = np.meshgrid(azimuth, elevation, indexing="ij")
-    steering = steering_matrix(rx_geom, rx_surface, az_mesh.ravel(), el_mesh.ravel())
+    steering = steering_matrix(rx_geom, rx_surface, az_mesh.ravel(),
+                               el_mesh.ravel())[:basis.shape[0]]
     denom = np.sum(np.abs(basis.conj().T @ steering) ** 2, axis=0)
     values = 1.0 / np.maximum(denom, DENOMINATOR_FLOOR)
     values = values.reshape(azimuth.size, elevation.size)

@@ -6,10 +6,18 @@ The objective for a pair of surface shapes (y_t, y_r) is
 
 where H is the effective block channel of the chosen waveform, sigma^2
 the noise variance, and psi a floor on the total channel power serving as
-the sensing constraint.  The gradients of f with respect to each element
-y coordinate are available in closed form because only the rank-one
-spatial factors depend on the shapes; ascent uses simultaneous projected
-updates with an Armijo backtracking line search.
+the sensing constraint.  Only the rank-one spatial factors of H depend
+on the shapes, and each element's y coordinate enters one row (receive)
+or one column (transmit) of each path's factor.  The gradient is
+therefore computed by an adjoint: one Cholesky solve gives
+
+    A = (I + H H^H / sigma^2)^-1 H / (sigma^2 ln 2)  [+ beta * H while the
+                                                      floor is violated]
+
+and each partial df/dy_b = 2 Re <A, dH/dy_b> reduces, per path, to a
+length-d_s dot product with the d_s x d_s contraction of A's N x N
+blocks against that path's time matrix.  Ascent uses simultaneous
+projected updates with an Armijo backtracking line search.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .channel import ChannelScenario, path_time_matrix
-from .geometry import (project_surface, random_surface, steering_derivative,
+from .geometry import (project_surface, random_surface, steering_matrix,
                        steering_vector, validate_surface)
 from .waveforms import cp_phase_function, domain_transform
 
@@ -31,10 +39,7 @@ __all__ = [
     "channel_power",
     "sensing_slack",
     "penalized_objective",
-    "channel_grad_tx",
-    "channel_grad_rx",
-    "gram_grad",
-    "objective_grad_element",
+    "objective_gradient",
     "optimize",
 ]
 
@@ -125,79 +130,14 @@ def penalized_objective(h_bar, noise_var: float, beta: float, psi: float):
     return rate + beta * slack, rate, slack
 
 
-def _grad_channel(spec, scenario: ChannelScenario, tx_surface, rx_surface,
-                  element: int, side: str, gbars=None) -> np.ndarray:
-    tx_surface = validate_surface(scenario.tx_geometry, tx_surface)
-    rx_surface = validate_surface(scenario.rx_geometry, rx_surface)
-    if gbars is None:
-        w = domain_transform(spec)
-        wh = w.conj().T
-        phase_fn = cp_phase_function(spec)
-        gbars = [w @ path_time_matrix(scenario, p, phase_fn) @ wh for p in scenario.paths]
-    n, d = scenario.block_length, scenario.num_streams
-    scale = np.sqrt(scenario.tx_geometry.num_elements
-                    * scenario.rx_geometry.num_elements / scenario.num_paths)
-    out = np.zeros((n * d, n * d), dtype=complex)
-    for path, gbar in zip(scenario.paths, gbars):
-        a_rx = steering_vector(scenario.rx_geometry, rx_surface, path.angles_in)
-        a_tx = steering_vector(scenario.tx_geometry, tx_surface, path.angles_out)
-        if side == "tx":
-            d_tx = steering_derivative(scenario.tx_geometry, tx_surface,
-                                       path.angles_out, element)
-            spatial = scale * path.gain * np.outer(a_rx, d_tx.conj())
-        else:
-            d_rx = steering_derivative(scenario.rx_geometry, rx_surface,
-                                       path.angles_in, element)
-            spatial = scale * path.gain * np.outer(d_rx, a_tx.conj())
-        out += np.kron(spatial[:d, :d], gbar)
-    return out
-
-
-def channel_grad_tx(spec, scenario: ChannelScenario, tx_surface, rx_surface,
-                    element: int) -> np.ndarray:
-    """Partial derivative of the effective channel w.r.t. one transmit
-    element's y coordinate (0-based).  The derivative lands on the
-    conjugated transmit steering factor of every path."""
-    if not 0 <= element < scenario.tx_geometry.num_elements:
-        raise IndexError(f"tx element {element} out of range")
-    return _grad_channel(spec, scenario, tx_surface, rx_surface, element, "tx")
-
-
-def channel_grad_rx(spec, scenario: ChannelScenario, tx_surface, rx_surface,
-                    element: int) -> np.ndarray:
-    """Partial derivative of the effective channel w.r.t. one receive
-    element's y coordinate (0-based)."""
-    if not 0 <= element < scenario.rx_geometry.num_elements:
-        raise IndexError(f"rx element {element} out of range")
-    return _grad_channel(spec, scenario, tx_surface, rx_surface, element, "rx")
-
-
-def gram_grad(h_bar, dh, noise_var: float) -> np.ndarray:
-    """Derivative of H H^H / sigma^2 given dH: (dH H^H + H dH^H) / sigma^2."""
-    h = np.asarray(h_bar, dtype=complex)
-    d = np.asarray(dh, dtype=complex)
-    if h.shape != d.shape:
-        raise ValueError("channel and derivative shapes differ")
-    return (d @ h.conj().T + h @ d.conj().T) / noise_var
-
-
-def objective_grad_element(h_bar, gram, dh, beta: float, psi: float,
-                           noise_var: float) -> float:
-    """One scalar entry of the objective gradient.
-
-    Rate part: Re tr((I + Q)^-1 dQ) / ln 2 with Q the noise-normalized
-    Gram matrix.  Penalty part: beta * Re tr(dH H^H + H dH^H), active only
-    while the power floor is violated (the clamped penalty is flat once
-    satisfied, so its subgradient vanishes there).
-    """
-    h = np.asarray(h_bar, dtype=complex)
-    d = np.asarray(dh, dtype=complex)
-    m = np.eye(h.shape[0]) + np.asarray(gram, dtype=complex)
-    solved = cho_solve(cho_factor(m), d)
-    value = 2.0 * np.real(np.vdot(h, solved)) / (noise_var * LOG2)
-    if sensing_slack(h, psi) < 0.0:
-        value += beta * 2.0 * np.real(np.vdot(h, d))
-    return float(value)
+def _steering_and_slope(geom, surface, angles, d: int):
+    """First d entries of each path's steering vector (columns) and their
+    derivatives with respect to their own element's y coordinate, the
+    nonzero entries of ``steering_derivative``."""
+    az = np.array([a.azimuth for a in angles])
+    el = np.array([a.elevation for a in angles])
+    vec = steering_matrix(geom, surface, az, el)[:d]
+    return vec, (1j * (2.0 * np.pi / geom.wavelength) * np.sin(az) * np.sin(el)) * vec
 
 
 class _ChannelAssembler:
@@ -208,8 +148,8 @@ class _ChannelAssembler:
         wh = w.conj().T
         phase_fn = cp_phase_function(spec)
         self.scenario = scenario
-        self.gbars = [w @ path_time_matrix(scenario, p, phase_fn) @ wh
-                      for p in scenario.paths]
+        self.gbars = np.array([w @ path_time_matrix(scenario, p, phase_fn) @ wh
+                               for p in scenario.paths])
         self.scale = np.sqrt(scenario.tx_geometry.num_elements
                              * scenario.rx_geometry.num_elements / scenario.num_paths)
 
@@ -224,17 +164,64 @@ class _ChannelAssembler:
             out += np.kron(spatial[:d, :d], gbar)
         return out
 
-    def grad(self, tx_surface, rx_surface, element: int, side: str) -> np.ndarray:
-        return _grad_channel(None, self.scenario, tx_surface, rx_surface,
-                             element, side, gbars=self.gbars)
+    def gradient(self, tx_surface, rx_surface, h, noise_var: float,
+                 penalty: float) -> np.ndarray:
+        """Objective gradient at channel ``h`` (transmit elements first).
+
+        ``penalty`` is beta while the power floor is violated, else 0.
+        """
+        sc = self.scenario
+        n, d = sc.block_length, sc.num_streams
+        factor = cho_factor(np.eye(h.shape[0]) + h @ h.conj().T / noise_var)
+        adj = cho_solve(factor, h) / (noise_var * LOG2)
+        if penalty:
+            adj += penalty * h
+        # sens[p, v, u] = <A_vu, Gbar_p>, so that <A, dH> is the sum over p,
+        # v, u of sens[p, v, u] * dS_p[v, u] for a change dS_p of path p's
+        # stream-reduced spatial factor
+        sens = np.einsum("vaub,pab->pvu", adj.conj().reshape(d, n, d, n), self.gbars)
+
+        a_r, da_r = _steering_and_slope(sc.rx_geometry, rx_surface,
+                                        [p.angles_in for p in sc.paths], d)
+        a_t, da_t = _steering_and_slope(sc.tx_geometry, tx_surface,
+                                        [p.angles_out for p in sc.paths], d)
+        weight = self.scale * np.array([p.gain for p in sc.paths])
+        # dH/dy_b has one nonzero spatial column (transmit element b) or row
+        # (receive element b) per path; elements past d_s never enter H.
+        n_t = sc.tx_geometry.num_elements
+        grad = np.zeros(n_t + sc.rx_geometry.num_elements)
+        grad[:d] = 2.0 * np.real(
+            (da_t.conj() * np.einsum("vp,pvu->up", a_r, sens)) @ weight)
+        grad[n_t:n_t + d] = 2.0 * np.real(
+            (da_r * np.einsum("pvu,up->vp", sens, a_t.conj())) @ weight)
+        return grad
+
+
+def objective_gradient(spec, scenario: ChannelScenario, tx_surface, rx_surface,
+                       noise_var: float, beta: float, psi: float) -> np.ndarray:
+    """Gradient of the penalized objective with respect to every element's
+    y coordinate: the N_t transmit partials, then the N_r receive ones.
+
+    The penalty term contributes only while the power floor is violated
+    (the clamped penalty is flat once satisfied, so its subgradient
+    vanishes there).
+    """
+    if noise_var <= 0.0:
+        raise ValueError("noise variance must be positive")
+    tx_surface = validate_surface(scenario.tx_geometry, tx_surface)
+    rx_surface = validate_surface(scenario.rx_geometry, rx_surface)
+    assembler = _ChannelAssembler(spec, scenario)
+    h = assembler.channel(tx_surface, rx_surface)
+    penalty = beta if sensing_slack(h, psi) < 0.0 else 0.0
+    return assembler.gradient(tx_surface, rx_surface, h, noise_var, penalty)
 
 
 def optimize(scenario: ChannelScenario, spec, config: OptimizerConfig = OptimizerConfig(),
              init_tx=None, init_rx=None, rng=None) -> OptimizerResult:
     """Projected gradient ascent on both surface shapes.
 
-    Each iteration computes every per-element gradient for the transmit
-    and receive shapes, takes a simultaneous step, projects onto the
+    Each iteration computes the full gradient for the transmit and
+    receive shapes from one Cholesky solve, takes a simultaneous step, projects onto the
     morphing box, and accepts the step through an Armijo condition on the
     objective (measured against the projected displacement, so accepted
     objectives never decrease).  Stops at the iteration budget, on a line
@@ -274,7 +261,7 @@ def optimize(scenario: ChannelScenario, spec, config: OptimizerConfig = Optimize
 
     step0 = (config.initial_step if config.initial_step is not None
              else 1e-3 * tx_geom.wavelength)
-    n_t, n_r = tx_geom.num_elements, rx_geom.num_elements
+    n_t = tx_geom.num_elements
 
     h = assembler.channel(y_t, y_r)
     f_cur, rate_cur, slack_cur = penalized_objective(h, noise_var, config.beta, psi)
@@ -283,18 +270,8 @@ def optimize(scenario: ChannelScenario, spec, config: OptimizerConfig = Optimize
     iterations = 0
     stop_reason = "iteration budget"
     for _ in range(config.max_iters):
-        gram = h @ h.conj().T / noise_var
-        factor = cho_factor(np.eye(h.shape[0]) + gram)
-        penalty_active = slack_cur < 0.0
-
-        grad = np.empty(n_t + n_r)
-        for idx in range(n_t + n_r):
-            side = "tx" if idx < n_t else "rx"
-            dh = assembler.grad(y_t, y_r, idx if side == "tx" else idx - n_t, side)
-            val = 2.0 * np.real(np.vdot(h, cho_solve(factor, dh))) / (noise_var * LOG2)
-            if penalty_active:
-                val += config.beta * 2.0 * np.real(np.vdot(h, dh))
-            grad[idx] = val
+        grad = assembler.gradient(y_t, y_r, h, noise_var,
+                                  config.beta if slack_cur < 0.0 else 0.0)
 
         if not np.any(grad):
             stop_reason = "zero gradient"

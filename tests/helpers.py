@@ -2,12 +2,17 @@
 
 Everything here is written from scratch (scalar loops, no reuse of the
 library's matrix assembly) so it can serve as a second route against
-which the production code is checked.
+which the production code is checked.  The dense gradient oracle forms
+each element's full channel derivative and solves against it separately,
+the per-element route that the library's adjoint gradient replaces.
 """
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
-from fimsim import ScenarioParams, random_scenario
+from fimsim import (ScenarioParams, cp_phase_function, domain_transform,
+                    effective_channel, path_time_matrix, random_scenario,
+                    sensing_slack, steering_derivative, steering_vector)
 
 SMALL_MAX_RANGE_M = 90.0  # keeps delay taps below a block length of 8
 
@@ -90,3 +95,85 @@ def relative_error(a, b, floor=1e-30):
     b = np.asarray(b)
     denom = max(np.max(np.abs(a)), np.max(np.abs(b)), floor)
     return np.max(np.abs(a - b)) / denom
+
+
+def _channel_grad(spec, scenario, tx_surface, rx_surface, element, side):
+    w = domain_transform(spec)
+    wh = w.conj().T
+    phase_fn = cp_phase_function(spec)
+    n, d = scenario.block_length, scenario.num_streams
+    scale = np.sqrt(scenario.tx_geometry.num_elements
+                    * scenario.rx_geometry.num_elements / scenario.num_paths)
+    out = np.zeros((n * d, n * d), dtype=complex)
+    for path in scenario.paths:
+        gbar = w @ path_time_matrix(scenario, path, phase_fn) @ wh
+        a_rx = steering_vector(scenario.rx_geometry, rx_surface, path.angles_in)
+        a_tx = steering_vector(scenario.tx_geometry, tx_surface, path.angles_out)
+        if side == "tx":
+            d_tx = steering_derivative(scenario.tx_geometry, tx_surface,
+                                       path.angles_out, element)
+            spatial = scale * path.gain * np.outer(a_rx, d_tx.conj())
+        else:
+            d_rx = steering_derivative(scenario.rx_geometry, rx_surface,
+                                       path.angles_in, element)
+            spatial = scale * path.gain * np.outer(d_rx, a_tx.conj())
+        out += np.kron(spatial[:d, :d], gbar)
+    return out
+
+
+def channel_grad_tx(spec, scenario, tx_surface, rx_surface, element):
+    """Dense partial derivative of the effective channel w.r.t. one transmit
+    element's y coordinate (0-based); it lands on the conjugated transmit
+    steering factor of every path."""
+    if not 0 <= element < scenario.tx_geometry.num_elements:
+        raise IndexError(f"tx element {element} out of range")
+    return _channel_grad(spec, scenario, tx_surface, rx_surface, element, "tx")
+
+
+def channel_grad_rx(spec, scenario, tx_surface, rx_surface, element):
+    """Dense partial derivative of the effective channel w.r.t. one receive
+    element's y coordinate (0-based)."""
+    if not 0 <= element < scenario.rx_geometry.num_elements:
+        raise IndexError(f"rx element {element} out of range")
+    return _channel_grad(spec, scenario, tx_surface, rx_surface, element, "rx")
+
+
+def gram_grad(h_bar, dh, noise_var):
+    """Derivative of H H^H / sigma^2 given dH: (dH H^H + H dH^H) / sigma^2."""
+    h = np.asarray(h_bar, dtype=complex)
+    d = np.asarray(dh, dtype=complex)
+    if h.shape != d.shape:
+        raise ValueError("channel and derivative shapes differ")
+    return (d @ h.conj().T + h @ d.conj().T) / noise_var
+
+
+def objective_grad_element(h_bar, gram, dh, beta, psi, noise_var):
+    """One scalar entry of the objective gradient.
+
+    Rate part: Re tr((I + Q)^-1 dQ) / ln 2 with Q the noise-normalized
+    Gram matrix.  Penalty part: beta * Re tr(dH H^H + H dH^H), active only
+    while the power floor is violated.
+    """
+    h = np.asarray(h_bar, dtype=complex)
+    d = np.asarray(dh, dtype=complex)
+    m = np.eye(h.shape[0]) + np.asarray(gram, dtype=complex)
+    solved = cho_solve(cho_factor(m), d)
+    value = 2.0 * np.real(np.vdot(h, solved)) / (noise_var * np.log(2.0))
+    if sensing_slack(h, psi) < 0.0:
+        value += beta * 2.0 * np.real(np.vdot(h, d))
+    return float(value)
+
+
+def dense_objective_gradient(spec, scenario, tx_surface, rx_surface,
+                             noise_var, beta, psi):
+    """Every element's partial, one dense derivative and solve at a time,
+    ordered like ``objective_gradient`` (transmit elements first)."""
+    h = effective_channel(spec, scenario, tx_surface, rx_surface)
+    gram = h @ h.conj().T / noise_var
+    parts = []
+    for grad_fn, count in ((channel_grad_tx, scenario.tx_geometry.num_elements),
+                           (channel_grad_rx, scenario.rx_geometry.num_elements)):
+        for element in range(count):
+            dh = grad_fn(spec, scenario, tx_surface, rx_surface, element)
+            parts.append(objective_grad_element(h, gram, dh, beta, psi, noise_var))
+    return np.array(parts)

@@ -88,3 +88,14 @@ class TestFailures:
         code = main(["rate-sweep", "--config", str(bad), "--out", str(tmp_path)])
         assert code == 2
         assert "trials" in capsys.readouterr().err
+
+    def test_invalid_config_fails_before_any_work(self, tmp_path, capsys):
+        # a non-square block length cannot carry OTFS: rejected at config
+        # time, before an ascent runs or the output directory exists
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("block_length = 12\n")
+        out = tmp_path / "out"
+        code = main(["rate-sweep", "--config", str(bad), "--out", str(out)])
+        assert code == 2
+        assert "perfect square" in capsys.readouterr().err
+        assert not out.exists()

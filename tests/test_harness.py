@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from fimsim import (ExperimentConfig, config_from_file, emit_results,
-                    parse_config_file, run_music_experiment,
+from fimsim import (ExperimentConfig, config_from_file, default_grid,
+                    emit_results, parse_config_file, run_music_experiment,
                     run_optimize_once, run_rate_sweep)
 from fimsim.harness import summarize_rates
 
@@ -51,6 +51,22 @@ class TestConfig:
             ExperimentConfig(waveforms=("dft",))
         with pytest.raises(ValueError):
             ExperimentConfig(fim_modes=("flat",))
+
+    @pytest.mark.parametrize("values", [
+        dict(block_length=12),                         # OTFS needs a square N
+        dict(block_length=8),                          # 120 m reaches tap 8
+        dict(block_length=16, max_range_m=240.0),      # tap 16
+        dict(optimizer_iters=0),
+        dict(music_grid_step_deg=0.0),
+        dict(music_grid_step_deg=-1.0),
+    ])
+    def test_rejects_configs_that_would_fail_mid_run(self, values):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**values)
+
+    def test_non_square_block_length_without_otfs(self):
+        config = ExperimentConfig(block_length=12, waveforms=("ofdm", "afdm"))
+        assert config.block_length == 12
 
 
 class TestRateSweep:
@@ -169,6 +185,20 @@ class TestMusicExperiment:
     def test_rejects_too_many_targets(self):
         with pytest.raises(ValueError):
             run_music_experiment(ExperimentConfig(num_paths=4))
+
+    def test_rectangular_receive_array(self):
+        # more receive elements than streams (rx 3x2, tx 2x2)
+        config = ExperimentConfig(trials=1, seed=0, optimizer_iters=5,
+                                  music_grid_step_deg=5.0,
+                                  rx_elements_x=3, rx_elements_z=2)
+        result = run_music_experiment(config)
+        az, el = default_grid(5.0)
+        assert len(result.grids) == len(config.fim_modes) * len(config.waveforms)
+        for grid in result.grids.values():
+            assert np.array_equal(grid.azimuth_rad, az)
+            assert np.array_equal(grid.elevation_rad, el)
+            assert grid.values.shape == (az.size, el.size)
+            assert np.max(10.0 * np.log10(grid.values)) == 0.0
 
     def test_emission_and_determinism(self, tmp_path, music_result):
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"

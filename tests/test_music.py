@@ -12,10 +12,10 @@ from fimsim.geometry import PathAngles
 from helpers import small_scenario
 
 
-def sensing_setup(seed, num_paths=1, surface_seed=101):
+def sensing_setup(seed, num_paths=1, surface_seed=101, **params):
     """Noise-free receive frame through a random scenario plus its pieces."""
     scenario = small_scenario(seed=seed, block_length=16, num_paths=num_paths,
-                              noise_var=0.0)
+                              noise_var=0.0, **params)
     y_r = random_surface(scenario.rx_geometry, surface_seed)
     y_t = random_surface(scenario.tx_geometry, surface_seed + 1)
     frame = random_frame(scenario.block_length, scenario.num_streams, seed + 500)
@@ -95,6 +95,25 @@ class TestMusicSpectrum:
         truth = scenario.paths[0].angles_in
         assert abs(grid.azimuth_rad[i] - truth.azimuth) <= np.deg2rad(1.0)
         assert abs(grid.elevation_rad[j] - truth.elevation) <= np.deg2rad(1.0)
+
+    def test_rectangular_receive_array(self):
+        # 3x2 receive against 2x2 transmit: four streams, carried by the
+        # first four receive elements, so the scan uses those entries
+        scenario, y_t, y_r, received = sensing_setup(seed=41, rx_elements_x=3,
+                                                     rx_elements_z=2)
+        basis = noise_subspace(rx_covariance(unvec_frame(received, 16, 4)), 1)
+        assert basis.shape == (4, 3)
+        az, el = default_grid(1.0)
+        grid = music_spectrum(basis, scenario.rx_geometry, y_r, az, el)
+        i, j = np.unravel_index(np.argmax(grid.values), grid.values.shape)
+        truth = scenario.paths[0].angles_in
+        assert abs(grid.azimuth_rad[i] - truth.azimuth) <= np.deg2rad(1.0)
+        assert abs(grid.elevation_rad[j] - truth.elevation) <= np.deg2rad(1.0)
+
+    def test_basis_wider_than_array_rejected(self):
+        with pytest.raises(ValueError):
+            music_spectrum(np.zeros((5, 2)), small_scenario(seed=0).rx_geometry,
+                           np.zeros(4))
 
     def test_matches_pointwise_oracle(self):
         # loop over a coarse grid evaluating the projection longhand

@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fimsim import (OFDM, ChannelScenario, OptimizerConfig, PathAngles,
-                    PropagationPath, achievable_rate, channel_grad_rx,
-                    channel_grad_tx, channel_power, effective_channel,
-                    gram_grad, objective_grad_element, optimize,
-                    penalized_objective, random_surface, sensing_slack,
-                    steering_vector, waveform_for)
+from fimsim import (OFDM, OTFS, ChannelScenario, OptimizerConfig, PathAngles,
+                    PropagationPath, achievable_rate, channel_power,
+                    effective_channel, objective_gradient, optimize,
+                    penalized_objective, random_scenario, random_surface,
+                    sensing_slack, steering_vector, waveform_for)
 
-from helpers import relative_error, small_scenario
+from helpers import (channel_grad_rx, channel_grad_tx, dense_objective_gradient,
+                     gram_grad, objective_grad_element, relative_error,
+                     small_params, small_scenario)
 
 FD_STEP_FRACTION = 1e-7  # finite-difference step as a fraction of wavelength
 
@@ -257,6 +260,108 @@ class TestObjectiveGradElement:
             fd = (f_at(perturbed(y_t, element, step))
                   - f_at(perturbed(y_t, element, -step))) / (2 * step)
             assert relative_error(analytic, fd) < 1e-5
+
+
+# Channel power depends on the shapes only through cross terms of paths
+# that share a delay tap, so the penalty's gradient vanishes unless some
+# do.  A 5 m range bound puts every path at tap 0; 90 m spreads them.
+SHARED_TAP_RANGE_M = 5.0
+
+
+def gradient_case(seed, num_paths, waveform, psi_fraction, block_length=8, **kwargs):
+    """Scenario, spec, random shapes, and an objective whose power floor
+    sits at ``psi_fraction`` times the channel power at those shapes."""
+    scenario = random_scenario(small_params(block_length, num_paths, **kwargs), seed)
+    if waveform == "otfs":
+        spec = OTFS(delay_bins=2, doppler_bins=block_length // 2)
+    else:
+        spec = waveform_for(waveform, scenario)
+    rng = np.random.default_rng(seed + 1)
+    y_t = random_surface(scenario.tx_geometry, rng)
+    y_r = random_surface(scenario.rx_geometry, rng)
+    noise_var = 0.1
+    h = effective_channel(spec, scenario, y_t, y_r)
+    return scenario, spec, y_t, y_r, noise_var, psi_fraction * channel_power(h)
+
+
+def fd_objective_gradient(spec, scenario, y_t, y_r, noise_var, beta, psi):
+    step = FD_STEP_FRACTION * scenario.tx_geometry.wavelength
+
+    def f_at(yt, yr):
+        h = effective_channel(spec, scenario, yt, yr)
+        return penalized_objective(h, noise_var, beta, psi)[0]
+
+    out = []
+    for element in range(y_t.size):
+        out.append((f_at(perturbed(y_t, element, step), y_r)
+                    - f_at(perturbed(y_t, element, -step), y_r)) / (2 * step))
+    for element in range(y_r.size):
+        out.append((f_at(y_t, perturbed(y_r, element, step))
+                    - f_at(y_t, perturbed(y_r, element, -step))) / (2 * step))
+    return np.array(out)
+
+
+class TestObjectiveGradient:
+    @pytest.mark.parametrize("num_paths", [2, 3, 5])
+    @pytest.mark.parametrize("waveform", ["ofdm", "otfs", "afdm"])
+    @pytest.mark.parametrize("psi_fraction", [0.8, 1.2])
+    @pytest.mark.parametrize("max_range_m", [90.0, SHARED_TAP_RANGE_M])
+    def test_matches_dense_oracle(self, num_paths, waveform, psi_fraction, max_range_m):
+        case = gradient_case(40 + num_paths, num_paths, waveform, psi_fraction,
+                             max_range_m=max_range_m)
+        scenario, spec, y_t, y_r, noise_var, psi = case
+        got = objective_gradient(spec, scenario, y_t, y_r, noise_var, 2.0, psi)
+        want = dense_objective_gradient(spec, scenario, y_t, y_r, noise_var, 2.0, psi)
+        assert got.shape == (8,)
+        assert relative_error(got, want) <= 1e-9
+
+    @pytest.mark.parametrize("psi_fraction", [0.8, 1.2])
+    @pytest.mark.parametrize("arrays", [dict(tx_elements_x=3, tx_elements_z=2),
+                                        dict(rx_elements_x=3, rx_elements_z=1)])
+    def test_rectangular_arrays_match_dense_oracle(self, arrays, psi_fraction):
+        # elements past d_s never enter the channel: their partials are zero
+        case = gradient_case(48, 3, "afdm", psi_fraction,
+                             max_range_m=SHARED_TAP_RANGE_M, **arrays)
+        scenario, spec, y_t, y_r, noise_var, psi = case
+        got = objective_gradient(spec, scenario, y_t, y_r, noise_var, 2.0, psi)
+        want = dense_objective_gradient(spec, scenario, y_t, y_r, noise_var, 2.0, psi)
+        n_t, d = y_t.size, scenario.num_streams
+        assert relative_error(got, want) <= 1e-9
+        assert not np.any(got[d:n_t]) and not np.any(got[n_t + d:])
+
+    @pytest.mark.parametrize("psi_fraction,penalized", [(0.8, False), (1.2, True)])
+    def test_penalty_only_while_floor_violated(self, psi_fraction, penalized):
+        scenario, spec, y_t, y_r, noise_var, psi = gradient_case(
+            49, 2, "ofdm", psi_fraction, max_range_m=SHARED_TAP_RANGE_M)
+        g0 = objective_gradient(spec, scenario, y_t, y_r, noise_var, 0.0, psi)
+        g5 = objective_gradient(spec, scenario, y_t, y_r, noise_var, 5.0, psi)
+        assert np.array_equal(g0, g5) != penalized
+
+    def test_rejects_nonpositive_noise(self):
+        scenario, spec, y_t, y_r, _, psi = gradient_case(50, 2, "ofdm", 0.8)
+        with pytest.raises(ValueError):
+            objective_gradient(spec, scenario, y_t, y_r, 0.0, 2.0, psi)
+
+    @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**16), num_paths=st.integers(2, 5),
+           counts=st.tuples(*[st.integers(1, 3)] * 4),
+           waveform=st.sampled_from(["ofdm", "otfs", "afdm"]),
+           psi_fraction=st.sampled_from([0.8, 1.2]),
+           max_range_m=st.sampled_from([90.0, SHARED_TAP_RANGE_M]))
+    def test_property_finite_difference_and_oracle(self, seed, num_paths, counts,
+                                                   waveform, psi_fraction, max_range_m):
+        # P = 1 is left out: a rank-one channel's rate and power do not
+        # depend on the shapes, so the exact gradient is identically zero
+        tx_x, tx_z, rx_x, rx_z = counts
+        scenario, spec, y_t, y_r, noise_var, psi = gradient_case(
+            seed, num_paths, waveform, psi_fraction, max_range_m=max_range_m,
+            tx_elements_x=tx_x, tx_elements_z=tx_z, rx_elements_x=rx_x,
+            rx_elements_z=rx_z)
+        got = objective_gradient(spec, scenario, y_t, y_r, noise_var, 2.0, psi)
+        fd = fd_objective_gradient(spec, scenario, y_t, y_r, noise_var, 2.0, psi)
+        want = dense_objective_gradient(spec, scenario, y_t, y_r, noise_var, 2.0, psi)
+        assert relative_error(got, fd) <= 1e-5
+        assert relative_error(got, want) <= 1e-9
 
 
 class TestOptimize:
