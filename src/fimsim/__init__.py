@@ -9,9 +9,9 @@ estimates scatterer angles at the receiver with a 2D subspace scan.
 """
 
 from ._version import __version__
-from .channel import (SPEED_OF_LIGHT, ChannelScenario, PropagationPath,
-                      ScenarioParams, assemble_effective_td, cp_phase_matrix,
-                      cyclic_shift_matrix, doppler_matrix, path_outer_matrix,
+from .channel import (SPEED_OF_LIGHT, ChannelFactors, ChannelScenario,
+                      PropagationPath, ScenarioParams, assemble_effective_td,
+                      cp_phase_matrix, cyclic_shift_matrix, doppler_matrix,
                       path_time_matrix, random_scenario)
 from .geometry import (FimGeometry, PathAngles, element_positions,
                        project_surface, random_surface, steering_derivative,
@@ -29,6 +29,6 @@ from .waveforms import (AFDM, OFDM, OTFS, SymbolFrame, afdm_c1,
                         cp_phase_function, default_afdm, default_otfs,
                         demodulate, dft_matrix, domain_transform,
                         effective_channel, modulate, random_frame,
-                        transmit_receive, waveform_for)
+                        transmit_receive, waveform_factors, waveform_for)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

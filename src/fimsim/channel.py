@@ -4,7 +4,9 @@ Each propagation path contributes a rank-one spatial outer product (from
 the transmit/receive steering vectors) and an N x N unitary time matrix
 built from three factors: a prefix phase correction, a Doppler phase
 ramp, and a cyclic delay shift.  The block transfer matrix over one frame
-is the sum of Kronecker products of the two.
+is the sum of Kronecker products of the two.  ``ChannelFactors`` holds
+everything about a scenario's paths that the surface shapes leave fixed,
+and is the one place that sum is formed.
 """
 
 from __future__ import annotations
@@ -13,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import FimGeometry, PathAngles, steering_vector, validate_surface
+from .geometry import FimGeometry, PathAngles, steering_matrix
 
 __all__ = [
     "SPEED_OF_LIGHT",
     "PropagationPath",
     "ChannelScenario",
     "ScenarioParams",
-    "path_outer_matrix",
+    "ChannelFactors",
     "cyclic_shift_matrix",
     "doppler_matrix",
     "cp_phase_matrix",
@@ -101,17 +103,6 @@ class ChannelScenario:
         return max(abs(p.doppler_hz) for p in self.paths)
 
 
-def path_outer_matrix(path: PropagationPath, tx_geom: FimGeometry, tx_surface,
-                      rx_geom: FimGeometry, rx_surface, num_paths: int) -> np.ndarray:
-    """Rank-one spatial matrix of one path, scaled by sqrt(Nt*Nr/P) * gain."""
-    if num_paths < 1:
-        raise ValueError("num_paths must be >= 1")
-    a_rx = steering_vector(rx_geom, rx_surface, path.angles_in)
-    a_tx = steering_vector(tx_geom, tx_surface, path.angles_out)
-    scaled = np.sqrt(tx_geom.num_elements * rx_geom.num_elements / num_paths) * path.gain
-    return scaled * np.outer(a_rx, a_tx.conj())
-
-
 def cyclic_shift_matrix(n: int, ell: int) -> np.ndarray:
     """Permutation matrix delaying a length-n vector circularly by ell samples."""
     if not 0 <= ell < n:
@@ -149,31 +140,68 @@ def path_time_matrix(scenario: ChannelScenario, path: PropagationPath,
     return cp_phase_matrix(n, ell, phase_fn) @ doppler_matrix(n, f) @ cyclic_shift_matrix(n, ell)
 
 
-def _reduced_outer(scenario: ChannelScenario, path: PropagationPath,
-                   tx_surface, rx_surface) -> np.ndarray:
-    """Stream-reduced spatial matrix: identity-selection beamformers keep the
-    first d_s rows and columns (a no-op for square element counts)."""
-    full = path_outer_matrix(path, scenario.tx_geometry, tx_surface,
-                             scenario.rx_geometry, rx_surface, scenario.num_paths)
-    d = scenario.num_streams
-    return full[:d, :d]
+class ChannelFactors:
+    """Surface-independent per-path factors of one scenario's block channel.
+
+    Path p contributes ``kron(weight_p * outer(a_r,p, conj(a_t,p)), T_p)``
+    with ``weight_p = sqrt(N_t * N_r / P) * gain_p``, ``a_t,p`` and
+    ``a_r,p`` the first d_s entries of the transmit and receive steering
+    vectors (identity-selection beamformers keep the first d_s elements),
+    and ``T_p`` the path's N x N time response, conjugated to
+    ``W T_p W^H`` when a unitary waveform transform ``W`` is given.  Only
+    the steering entries depend on the surface shapes, so a record is
+    built once per scenario and waveform and evaluated at any shapes.
+    """
+
+    def __init__(self, scenario: ChannelScenario, phase_fn=None, transform=None):
+        paths = scenario.paths
+        tx, rx = scenario.tx_geometry, scenario.rx_geometry
+        self.scenario = scenario
+        self.weights = (np.sqrt(tx.num_elements * rx.num_elements / scenario.num_paths)
+                        * np.array([p.gain for p in paths]))
+        self.az_out = np.array([p.angles_out.azimuth for p in paths])
+        self.el_out = np.array([p.angles_out.elevation for p in paths])
+        self.az_in = np.array([p.angles_in.azimuth for p in paths])
+        self.el_in = np.array([p.angles_in.elevation for p in paths])
+        # d(steering entry b)/d(y_b) = slope * (steering entry b), per path
+        self.slope_tx = (1j * (2.0 * np.pi / tx.wavelength)
+                         * np.sin(self.az_out) * np.sin(self.el_out))
+        self.slope_rx = (1j * (2.0 * np.pi / rx.wavelength)
+                         * np.sin(self.az_in) * np.sin(self.el_in))
+        times = [path_time_matrix(scenario, p, phase_fn) for p in paths]
+        if transform is not None:
+            times = [transform @ t @ transform.conj().T for t in times]
+        self.times = np.array(times)
+
+    def steering(self, tx_surface, rx_surface):
+        """First d_s steering entries of every path as (d_s, P) columns,
+        transmit then receive."""
+        sc = self.scenario
+        d = sc.num_streams
+        a_t = steering_matrix(sc.tx_geometry, tx_surface, self.az_out, self.el_out)[:d]
+        a_r = steering_matrix(sc.rx_geometry, rx_surface, self.az_in, self.el_in)[:d]
+        return a_t, a_r
+
+    def matrix(self, tx_surface, rx_surface) -> np.ndarray:
+        """Block channel at the given shapes: sum_p kron(spatial_p, T_p).
+
+        Shape is (N * d_s, N * d_s) with the per-stream sample blocks laid
+        out stream-major, matching the stacked transmit/receive vectors.
+        """
+        a_t, a_r = self.steering(tx_surface, rx_surface)
+        n, d = self.scenario.block_length, self.scenario.num_streams
+        out = np.zeros((n * d, n * d), dtype=complex)
+        for p, time in enumerate(self.times):
+            spatial = self.weights[p] * np.outer(a_r[:, p], a_t[:, p].conj())
+            out += np.kron(spatial, time)
+        return out
 
 
 def assemble_effective_td(scenario: ChannelScenario, tx_surface, rx_surface,
                           phase_fn=None) -> np.ndarray:
-    """Block transfer matrix of the frame: sum_p kron(spatial_p, time_p).
-
-    Shape is (N * d_s, N * d_s) with the per-stream sample blocks laid out
-    stream-major, matching the stacked transmit/receive vectors.
-    """
-    tx_surface = validate_surface(scenario.tx_geometry, tx_surface)
-    rx_surface = validate_surface(scenario.rx_geometry, rx_surface)
-    n, d = scenario.block_length, scenario.num_streams
-    out = np.zeros((n * d, n * d), dtype=complex)
-    for path in scenario.paths:
-        spatial = _reduced_outer(scenario, path, tx_surface, rx_surface)
-        out += np.kron(spatial, path_time_matrix(scenario, path, phase_fn))
-    return out
+    """Time-domain block transfer matrix of the frame (see
+    ``ChannelFactors.matrix``)."""
+    return ChannelFactors(scenario, phase_fn).matrix(tx_surface, rx_surface)
 
 
 @dataclass(frozen=True)

@@ -134,10 +134,7 @@ def steering_vector(geom: FimGeometry, surface, angles: PathAngles) -> np.ndarra
     ``p_b`` is the element position and ``u`` the direction cosines of
     (azimuth, elevation).
     """
-    pos = element_positions(geom, surface)
-    u, v, w = _direction_cosines(angles.azimuth, angles.elevation)
-    phase = (2.0 * np.pi / geom.wavelength) * (pos[:, 0] * u + pos[:, 1] * v + pos[:, 2] * w)
-    return np.exp(1j * phase) / np.sqrt(geom.num_elements)
+    return steering_matrix(geom, surface, angles.azimuth, angles.elevation)[:, 0]
 
 
 def steering_matrix(geom: FimGeometry, surface, azimuth, elevation) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from .geometry import random_surface
 from .music import (default_grid, extract_peaks, grid_to_csv, music_spectrum,
                     noise_subspace, rx_covariance, unvec_frame)
 from .optimizer import OptimizerConfig, OptimizerResult, achievable_rate, optimize
-from .waveforms import (default_otfs, effective_channel, random_frame,
-                        transmit_receive, waveform_for)
+from .waveforms import (default_otfs, random_frame, transmit_receive,
+                        waveform_factors, waveform_for)
 
 __all__ = [
     "ExperimentConfig",
@@ -211,26 +211,25 @@ def run_rate_sweep(config: ExperimentConfig) -> RateSweepResult:
         scenario = random_scenario(params, scen_rng)
         rand_pair = (random_surface(scenario.tx_geometry, surf_rng),
                      random_surface(scenario.rx_geometry, surf_rng))
+        specs = {name: waveform_for(name, scenario) for name in config.waveforms}
+        factors = {name: waveform_factors(spec, scenario) for name, spec in specs.items()}
         for snr in config.snr_db:
             noise_var = config.noise_var_for_snr(snr)
-            scen = replace(scenario, noise_var=noise_var)
             optimized_pair = None
             if "optimized" in config.fim_modes:
                 if config.reuse_shapes and reused is not None:
                     optimized_pair = reused
                 else:
-                    spec = waveform_for(config.waveforms[0], scen)
-                    opt = optimize(scen, spec, config.optimizer_config(noise_var),
+                    opt = optimize(scenario, specs[config.waveforms[0]],
+                                   config.optimizer_config(noise_var),
                                    init_tx=rand_pair[0], init_rx=rand_pair[1])
                     optimized_pair = (opt.tx_surface, opt.rx_surface)
                     if config.reuse_shapes:
                         reused = optimized_pair
             for name in config.waveforms:
-                spec = waveform_for(name, scen)
                 for mode in config.fim_modes:
-                    y_t, y_r = _mode_surfaces(scen, mode, rand_pair, optimized_pair)
-                    rate = achievable_rate(
-                        effective_channel(spec, scen, y_t, y_r), noise_var)
+                    y_t, y_r = _mode_surfaces(scenario, mode, rand_pair, optimized_pair)
+                    rate = achievable_rate(factors[name].matrix(y_t, y_r), noise_var)
                     records.append({"waveform": name, "fim_mode": mode,
                                     "snr_db": float(snr), "trial": trial,
                                     "rate_bits": rate})

@@ -6,10 +6,12 @@ The objective for a pair of surface shapes (y_t, y_r) is
 
 where H is the effective block channel of the chosen waveform, sigma^2
 the noise variance, and psi a floor on the total channel power serving as
-the sensing constraint.  Only the rank-one spatial factors of H depend
-on the shapes, and each element's y coordinate enters one row (receive)
-or one column (transmit) of each path's factor.  The gradient is
-therefore computed by an adjoint: one Cholesky solve gives
+the sensing constraint.  H is evaluated from the scenario's
+``ChannelFactors`` record, built once per ascent: only the rank-one
+spatial factors depend on the shapes, and each element's y coordinate
+enters one row (receive) or one column (transmit) of each path's factor.
+The gradient is therefore computed by an adjoint: one dense numpy solve
+gives
 
     A = (I + H H^H / sigma^2)^-1 H / (sigma^2 ln 2)  [+ beta * H while the
                                                       floor is violated]
@@ -25,12 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .channel import ChannelScenario, path_time_matrix
-from .geometry import (project_surface, random_surface, steering_matrix,
-                       steering_vector, validate_surface)
-from .waveforms import cp_phase_function, domain_transform
+from .channel import ChannelFactors, ChannelScenario
+from .geometry import project_surface, random_surface, validate_surface
+from .waveforms import waveform_factors
 
 __all__ = [
     "OptimizerConfig",
@@ -45,6 +45,16 @@ __all__ = [
 
 LOG2 = np.log(2.0)
 
+# Line search: the first trial step (in wavelengths of the transmit array),
+# its shrink factor per backtrack, the Armijo sufficient-increase fraction,
+# and the backtrack budget.  The ascent stops once an accepted projected
+# step is shorter than MIN_STEP_NORM (meters).
+INITIAL_STEP_WAVELENGTHS = 1e-3
+BACKTRACK_FACTOR = 0.5
+SUFFICIENT_INCREASE = 1e-4
+MAX_BACKTRACKS = 30
+MIN_STEP_NORM = 1e-10
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -52,21 +62,13 @@ class OptimizerConfig:
 
     ``psi=None`` resolves to ``psi_fraction`` times the channel power of
     the flat-surface baseline; ``noise_var=None`` falls back to the
-    scenario's; ``initial_step=None`` resolves to 1e-3 wavelengths.
-    ``power_budget`` is checked once against the identity transmit
-    covariance (N * d_s) and otherwise unused.
+    scenario's.
     """
 
     beta: float = 2.0
     psi: float | None = None
     psi_fraction: float = 0.8
-    power_budget: float | None = None
     max_iters: int = 100
-    initial_step: float | None = None
-    backtrack_factor: float = 0.5
-    sufficient_increase: float = 1e-4
-    max_backtracks: int = 30
-    min_step_norm: float = 1e-10
     noise_var: float | None = None
 
     def __post_init__(self):
@@ -76,10 +78,6 @@ class OptimizerConfig:
             raise ValueError("psi must be nonnegative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.initial_step is not None and self.initial_step <= 0.0:
-            raise ValueError("initial_step must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must be in (0, 1)")
 
 
 @dataclass
@@ -130,71 +128,34 @@ def penalized_objective(h_bar, noise_var: float, beta: float, psi: float):
     return rate + beta * slack, rate, slack
 
 
-def _steering_and_slope(geom, surface, angles, d: int):
-    """First d entries of each path's steering vector (columns) and their
-    derivatives with respect to their own element's y coordinate, the
-    nonzero entries of ``steering_derivative``."""
-    az = np.array([a.azimuth for a in angles])
-    el = np.array([a.elevation for a in angles])
-    vec = steering_matrix(geom, surface, az, el)[:d]
-    return vec, (1j * (2.0 * np.pi / geom.wavelength) * np.sin(az) * np.sin(el)) * vec
+def _adjoint_gradient(factors: ChannelFactors, tx_surface, rx_surface, h,
+                      noise_var: float, penalty: float) -> np.ndarray:
+    """Objective gradient at channel ``h`` (transmit elements first).
 
-
-class _ChannelAssembler:
-    """Caches the surface-independent per-path factors of one scenario."""
-
-    def __init__(self, spec, scenario: ChannelScenario):
-        w = domain_transform(spec)
-        wh = w.conj().T
-        phase_fn = cp_phase_function(spec)
-        self.scenario = scenario
-        self.gbars = np.array([w @ path_time_matrix(scenario, p, phase_fn) @ wh
-                               for p in scenario.paths])
-        self.scale = np.sqrt(scenario.tx_geometry.num_elements
-                             * scenario.rx_geometry.num_elements / scenario.num_paths)
-
-    def channel(self, tx_surface, rx_surface) -> np.ndarray:
-        sc = self.scenario
-        n, d = sc.block_length, sc.num_streams
-        out = np.zeros((n * d, n * d), dtype=complex)
-        for path, gbar in zip(sc.paths, self.gbars):
-            a_rx = steering_vector(sc.rx_geometry, rx_surface, path.angles_in)
-            a_tx = steering_vector(sc.tx_geometry, tx_surface, path.angles_out)
-            spatial = (self.scale * path.gain) * np.outer(a_rx, a_tx.conj())
-            out += np.kron(spatial[:d, :d], gbar)
-        return out
-
-    def gradient(self, tx_surface, rx_surface, h, noise_var: float,
-                 penalty: float) -> np.ndarray:
-        """Objective gradient at channel ``h`` (transmit elements first).
-
-        ``penalty`` is beta while the power floor is violated, else 0.
-        """
-        sc = self.scenario
-        n, d = sc.block_length, sc.num_streams
-        factor = cho_factor(np.eye(h.shape[0]) + h @ h.conj().T / noise_var)
-        adj = cho_solve(factor, h) / (noise_var * LOG2)
-        if penalty:
-            adj += penalty * h
-        # sens[p, v, u] = <A_vu, Gbar_p>, so that <A, dH> is the sum over p,
-        # v, u of sens[p, v, u] * dS_p[v, u] for a change dS_p of path p's
-        # stream-reduced spatial factor
-        sens = np.einsum("vaub,pab->pvu", adj.conj().reshape(d, n, d, n), self.gbars)
-
-        a_r, da_r = _steering_and_slope(sc.rx_geometry, rx_surface,
-                                        [p.angles_in for p in sc.paths], d)
-        a_t, da_t = _steering_and_slope(sc.tx_geometry, tx_surface,
-                                        [p.angles_out for p in sc.paths], d)
-        weight = self.scale * np.array([p.gain for p in sc.paths])
-        # dH/dy_b has one nonzero spatial column (transmit element b) or row
-        # (receive element b) per path; elements past d_s never enter H.
-        n_t = sc.tx_geometry.num_elements
-        grad = np.zeros(n_t + sc.rx_geometry.num_elements)
-        grad[:d] = 2.0 * np.real(
-            (da_t.conj() * np.einsum("vp,pvu->up", a_r, sens)) @ weight)
-        grad[n_t:n_t + d] = 2.0 * np.real(
-            (da_r * np.einsum("pvu,up->vp", sens, a_t.conj())) @ weight)
-        return grad
+    ``penalty`` is beta while the power floor is violated, else 0.
+    """
+    sc = factors.scenario
+    n, d = sc.block_length, sc.num_streams
+    gram = np.eye(h.shape[0]) + h @ h.conj().T / noise_var
+    adj = np.linalg.solve(gram, h) / (noise_var * LOG2)
+    if penalty:
+        adj += penalty * h
+    # sens[p, v, u] = <A_vu, T_p>, so that <A, dH> is the sum over p, v, u
+    # of sens[p, v, u] * dS_p[v, u] for a change dS_p of path p's
+    # stream-reduced spatial factor
+    sens = np.einsum("vaub,pab->pvu", adj.conj().reshape(d, n, d, n), factors.times)
+    a_t, a_r = factors.steering(tx_surface, rx_surface)
+    # dH/dy_b has one nonzero spatial column (transmit element b) or row
+    # (receive element b) per path; elements past d_s never enter H.
+    n_t = sc.tx_geometry.num_elements
+    grad = np.zeros(n_t + sc.rx_geometry.num_elements)
+    grad[:d] = 2.0 * np.real(
+        ((factors.slope_tx * a_t).conj() * np.einsum("vp,pvu->up", a_r, sens))
+        @ factors.weights)
+    grad[n_t:n_t + d] = 2.0 * np.real(
+        ((factors.slope_rx * a_r) * np.einsum("pvu,up->vp", sens, a_t.conj()))
+        @ factors.weights)
+    return grad
 
 
 def objective_gradient(spec, scenario: ChannelScenario, tx_surface, rx_surface,
@@ -208,12 +169,10 @@ def objective_gradient(spec, scenario: ChannelScenario, tx_surface, rx_surface,
     """
     if noise_var <= 0.0:
         raise ValueError("noise variance must be positive")
-    tx_surface = validate_surface(scenario.tx_geometry, tx_surface)
-    rx_surface = validate_surface(scenario.rx_geometry, rx_surface)
-    assembler = _ChannelAssembler(spec, scenario)
-    h = assembler.channel(tx_surface, rx_surface)
+    factors = waveform_factors(spec, scenario)
+    h = factors.matrix(tx_surface, rx_surface)
     penalty = beta if sensing_slack(h, psi) < 0.0 else 0.0
-    return assembler.gradient(tx_surface, rx_surface, h, noise_var, penalty)
+    return _adjoint_gradient(factors, tx_surface, rx_surface, h, noise_var, penalty)
 
 
 def optimize(scenario: ChannelScenario, spec, config: OptimizerConfig = OptimizerConfig(),
@@ -221,10 +180,10 @@ def optimize(scenario: ChannelScenario, spec, config: OptimizerConfig = Optimize
     """Projected gradient ascent on both surface shapes.
 
     Each iteration computes the full gradient for the transmit and
-    receive shapes from one Cholesky solve, takes a simultaneous step, projects onto the
-    morphing box, and accepts the step through an Armijo condition on the
-    objective (measured against the projected displacement, so accepted
-    objectives never decrease).  Stops at the iteration budget, on a line
+    receive shapes from one linear solve, takes a simultaneous step,
+    projects onto the morphing box, and accepts the step through an Armijo
+    condition on the objective (measured against the projected
+    displacement, so accepted objectives never decrease).  Stops at the iteration budget, on a line
     search failure, or when the projected step collapses.
 
     Missing initial shapes are drawn uniformly from the morphing range
@@ -246,32 +205,26 @@ def optimize(scenario: ChannelScenario, spec, config: OptimizerConfig = Optimize
     noise_var = config.noise_var if config.noise_var is not None else scenario.noise_var
     if noise_var <= 0.0:
         raise ValueError("optimizer objective requires a positive noise variance")
-    identity_cov_power = scenario.block_length * scenario.num_streams
-    if config.power_budget is not None and identity_cov_power > config.power_budget:
-        raise ValueError(
-            f"identity transmit covariance needs power {identity_cov_power}, "
-            f"budget is {config.power_budget}")
 
-    assembler = _ChannelAssembler(spec, scenario)
+    factors = waveform_factors(spec, scenario)
     if config.psi is not None:
         psi = config.psi
     else:
-        flat = assembler.channel(tx_geom.flat_surface(), rx_geom.flat_surface())
+        flat = factors.matrix(tx_geom.flat_surface(), rx_geom.flat_surface())
         psi = config.psi_fraction * channel_power(flat)
 
-    step0 = (config.initial_step if config.initial_step is not None
-             else 1e-3 * tx_geom.wavelength)
+    step0 = INITIAL_STEP_WAVELENGTHS * tx_geom.wavelength
     n_t = tx_geom.num_elements
 
-    h = assembler.channel(y_t, y_r)
+    h = factors.matrix(y_t, y_r)
     f_cur, rate_cur, slack_cur = penalized_objective(h, noise_var, config.beta, psi)
     obj_trace, rate_trace, slack_trace = [f_cur], [rate_cur], [slack_cur]
 
     iterations = 0
     stop_reason = "iteration budget"
     for _ in range(config.max_iters):
-        grad = assembler.gradient(y_t, y_r, h, noise_var,
-                                  config.beta if slack_cur < 0.0 else 0.0)
+        grad = _adjoint_gradient(factors, y_t, y_r, h, noise_var,
+                                 config.beta if slack_cur < 0.0 else 0.0)
 
         if not np.any(grad):
             stop_reason = "zero gradient"
@@ -279,17 +232,17 @@ def optimize(scenario: ChannelScenario, spec, config: OptimizerConfig = Optimize
 
         step = step0
         accepted = False
-        for _ in range(config.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             y_t_new = project_surface(tx_geom, y_t + step * grad[:n_t])
             y_r_new = project_surface(rx_geom, y_r + step * grad[n_t:])
             move = np.concatenate([y_t_new - y_t, y_r_new - y_r])
-            h_new = assembler.channel(y_t_new, y_r_new)
+            h_new = factors.matrix(y_t_new, y_r_new)
             f_new, rate_new, slack_new = penalized_objective(
                 h_new, noise_var, config.beta, psi)
-            if f_new >= f_cur + config.sufficient_increase * float(grad @ move):
+            if f_new >= f_cur + SUFFICIENT_INCREASE * float(grad @ move):
                 accepted = True
                 break
-            step *= config.backtrack_factor
+            step *= BACKTRACK_FACTOR
         if not accepted:
             stop_reason = "line search failed"
             break
@@ -301,7 +254,7 @@ def optimize(scenario: ChannelScenario, spec, config: OptimizerConfig = Optimize
         rate_trace.append(rate_cur)
         slack_trace.append(slack_cur)
         iterations += 1
-        if step_norm < config.min_step_norm:
+        if step_norm < MIN_STEP_NORM:
             stop_reason = "step below tolerance"
             break
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelScenario, path_time_matrix, _reduced_outer
-from .geometry import validate_surface
+from .channel import ChannelFactors, ChannelScenario
 
 __all__ = [
     "OFDM",
@@ -27,6 +26,7 @@ __all__ = [
     "modulate",
     "demodulate",
     "cp_phase_function",
+    "waveform_factors",
     "effective_channel",
     "afdm_c1",
     "default_otfs",
@@ -112,21 +112,17 @@ def cp_phase_function(spec):
     return None
 
 
-def effective_channel(spec, scenario: ChannelScenario, tx_surface, rx_surface) -> np.ndarray:
-    """Symbol-domain block channel: sum_p kron(spatial_p, W @ time_p @ W^H)."""
+def waveform_factors(spec, scenario: ChannelScenario) -> ChannelFactors:
+    """Per-path channel factors of a scenario seen through a waveform: the
+    scheme's prefix phase, and time responses conjugated by its transform."""
     if spec.block_length != scenario.block_length:
         raise ValueError("waveform and scenario block lengths differ")
-    tx_surface = validate_surface(scenario.tx_geometry, tx_surface)
-    rx_surface = validate_surface(scenario.rx_geometry, rx_surface)
-    w = domain_transform(spec)
-    wh = w.conj().T
-    phase_fn = cp_phase_function(spec)
-    n, d = scenario.block_length, scenario.num_streams
-    out = np.zeros((n * d, n * d), dtype=complex)
-    for path in scenario.paths:
-        spatial = _reduced_outer(scenario, path, tx_surface, rx_surface)
-        out += np.kron(spatial, w @ path_time_matrix(scenario, path, phase_fn) @ wh)
-    return out
+    return ChannelFactors(scenario, cp_phase_function(spec), domain_transform(spec))
+
+
+def effective_channel(spec, scenario: ChannelScenario, tx_surface, rx_surface) -> np.ndarray:
+    """Symbol-domain block channel: sum_p kron(spatial_p, W @ time_p @ W^H)."""
+    return waveform_factors(spec, scenario).matrix(tx_surface, rx_surface)
 
 
 def afdm_c1(scenario: ChannelScenario) -> float:

@@ -8,7 +8,6 @@ the per-element route that the library's adjoint gradient replaces.
 """
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from fimsim import (ScenarioParams, cp_phase_function, domain_transform,
                     effective_channel, path_time_matrix, random_scenario,
@@ -37,6 +36,16 @@ def oracle_steering(geom, surface, azimuth, elevation):
         + y * np.sin(elevation) * np.sin(azimuth)
         + z * np.cos(elevation))
     return np.exp(1j * phase) / np.sqrt(geom.num_elements)
+
+
+def path_outer_matrix(path, tx_geom, tx_surface, rx_geom, rx_surface, num_paths):
+    """Rank-one spatial matrix of one path, scaled by sqrt(Nt*Nr/P) * gain."""
+    if num_paths < 1:
+        raise ValueError("num_paths must be >= 1")
+    a_rx = steering_vector(rx_geom, rx_surface, path.angles_in)
+    a_tx = steering_vector(tx_geom, tx_surface, path.angles_out)
+    scaled = np.sqrt(tx_geom.num_elements * rx_geom.num_elements / num_paths) * path.gain
+    return scaled * np.outer(a_rx, a_tx.conj())
 
 
 def oracle_received(scenario, tx_surface, rx_surface, stacked_input, phase_fn=None):
@@ -157,7 +166,7 @@ def objective_grad_element(h_bar, gram, dh, beta, psi, noise_var):
     h = np.asarray(h_bar, dtype=complex)
     d = np.asarray(dh, dtype=complex)
     m = np.eye(h.shape[0]) + np.asarray(gram, dtype=complex)
-    solved = cho_solve(cho_factor(m), d)
+    solved = np.linalg.solve(m, d)
     value = 2.0 * np.real(np.vdot(h, solved)) / (noise_var * np.log(2.0))
     if sensing_slack(h, psi) < 0.0:
         value += beta * 2.0 * np.real(np.vdot(h, d))

@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fimsim
 from fimsim.cli import main
 
 FAST_CFG = """\
@@ -99,3 +103,30 @@ class TestFailures:
         assert code == 2
         assert "perfect square" in capsys.readouterr().err
         assert not out.exists()
+
+
+# Runs two CLI commands in one fresh interpreter and prints, last, every
+# SciPy module that got imported along the way.
+NUMPY_ONLY_SCRIPT = """\
+import json, sys
+from fimsim.cli import main
+cfg, out = sys.argv[1], sys.argv[2]
+for command in ("optimize-once", "rate-sweep"):
+    assert main([command, "--config", cfg, "--out", f"{out}/{command}"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+class TestDependencies:
+    def test_runs_on_numpy_alone(self, tmp_path, cfg_path):
+        # SciPy brings a second OpenBLAS with its own thread pool; the
+        # program must not load it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fimsim.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_ONLY_SCRIPT, cfg_path, str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -431,11 +431,6 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimize(scenario, OFDM(8), OptimizerConfig(), rng=rng)
 
-    def test_power_budget_checked(self, rng):
-        scenario = small_scenario(seed=36, noise_var=0.1)
-        with pytest.raises(ValueError):
-            optimize(scenario, OFDM(8), OptimizerConfig(power_budget=8.0), rng=rng)
-
     def test_deterministic_given_rng_seed(self):
         scenario = small_scenario(seed=37, noise_var=0.1)
         config = OptimizerConfig(max_iters=8)

@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fimsim import (AFDM, OFDM, OTFS, ChannelScenario, achievable_rate,
                     afdm_c1, assemble_effective_td, cp_phase_function,
                     default_afdm, default_otfs, demodulate, dft_matrix,
                     domain_transform, effective_channel, modulate,
-                    random_frame, transmit_receive, waveform_for)
+                    random_frame, random_surface, transmit_receive,
+                    waveform_for)
 
-from helpers import small_scenario
+from helpers import oracle_td_channel, small_scenario
 
 ALL_SPECS = [OFDM(16), OTFS(4, 4), AFDM(16, c1=3 / 32, c2=0.01)]
 
@@ -153,6 +156,36 @@ class TestEffectiveChannel:
         scenario = small_scenario(seed=1)
         with pytest.raises(ValueError):
             effective_channel(OFDM(16), scenario, np.zeros(4), np.zeros(4))
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**16), num_paths=st.integers(1, 5),
+           counts=st.tuples(*[st.integers(1, 3)] * 4),
+           block_length=st.sampled_from([8, 16]),
+           waveform=st.sampled_from(["ofdm", "otfs", "afdm"]))
+    def test_property_matches_oracle_and_rates_agree(self, seed, num_paths, counts,
+                                                     block_length, waveform):
+        # W-conjugated sample-domain oracle on rectangular arrays, and rate
+        # invariance across the three waveforms (exact at even N)
+        tx_x, tx_z, rx_x, rx_z = counts
+        scenario = small_scenario(seed, block_length, num_paths,
+                                  tx_elements_x=tx_x, tx_elements_z=tx_z,
+                                  rx_elements_x=rx_x, rx_elements_z=rx_z)
+        rng = np.random.default_rng(seed)
+        y_t = random_surface(scenario.tx_geometry, rng)
+        y_r = random_surface(scenario.rx_geometry, rng)
+        otfs = OTFS(2, 4) if block_length == 8 else default_otfs(block_length)
+        specs = {"ofdm": OFDM(block_length), "otfs": otfs,
+                 "afdm": default_afdm(scenario)}
+
+        spec = specs[waveform]
+        big_w = np.kron(np.eye(scenario.num_streams), domain_transform(spec))
+        oracle = (big_w @ oracle_td_channel(scenario, y_t, y_r, cp_phase_function(spec))
+                  @ big_w.conj().T)
+        assert np.max(np.abs(effective_channel(spec, scenario, y_t, y_r) - oracle)) <= 1e-10
+
+        rates = [achievable_rate(effective_channel(s, scenario, y_t, y_r), 0.05)
+                 for s in specs.values()]
+        assert max(rates) - min(rates) <= 1e-9 * max(rates)
 
 
 class TestAfdmC1:
