@@ -20,15 +20,15 @@ from .harness import (ExperimentConfig, MusicResult, OptimizeOnceResult,
                       RateSweepResult, config_from_file, emit_results,
                       parse_config_file, run_music_experiment,
                       run_optimize_once, run_rate_sweep)
-from .music import (MusicGrid, default_grid, extract_peaks, grid_to_csv,
-                    music_spectrum, noise_subspace, rx_covariance, unvec_frame)
+from .music import (MusicGrid, default_grid, extract_peaks, music_spectrum,
+                    noise_subspace, rx_covariance, unvec_frame)
 from .optimizer import (OptimizerConfig, OptimizerResult, achievable_rate,
                         channel_power, objective_gradient, optimize,
                         penalized_objective, sensing_slack)
-from .waveforms import (AFDM, OFDM, OTFS, SymbolFrame, afdm_c1,
-                        cp_phase_function, default_afdm, default_otfs,
-                        demodulate, dft_matrix, domain_transform,
-                        effective_channel, modulate, random_frame,
-                        transmit_receive, waveform_factors, waveform_for)
+from .waveforms import (AFDM, OFDM, OTFS, afdm_c1, cp_phase_function,
+                        default_afdm, default_otfs, demodulate, dft_matrix,
+                        domain_transform, effective_channel, modulate,
+                        random_frame, transmit_receive, waveform_factors,
+                        waveform_for)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

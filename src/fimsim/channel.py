@@ -222,9 +222,7 @@ class ScenarioParams:
     max_velocity_mps: float = 208.0
     y_min_m: float | None = None        # default: -wavelength
     y_max_m: float | None = None        # default: +wavelength
-    element_spacing_m: float | None = None  # default: wavelength / 2
     noise_var: float = 1.0
-    cp_length: int | None = None        # default: the largest possible delay tap
 
     def __post_init__(self):
         if self.carrier_frequency_hz <= 0 or self.sampling_rate_hz <= 0:
@@ -257,11 +255,9 @@ class ScenarioParams:
 
     def _geometry(self, nx: int, nz: int) -> FimGeometry:
         lam = self.wavelength
-        spacing = self.element_spacing_m if self.element_spacing_m is not None else lam / 2.0
         y_min = self.y_min_m if self.y_min_m is not None else -lam
         y_max = self.y_max_m if self.y_max_m is not None else lam
-        return FimGeometry(bx=nx, bz=nz, dx=spacing, dz=spacing,
-                           wavelength=lam, y_min=y_min, y_max=y_max)
+        return FimGeometry.half_spaced(nx, nz, lam, y_min, y_max)
 
     def tx_geometry(self) -> FimGeometry:
         return self._geometry(self.tx_elements_x, self.tx_elements_z)
@@ -288,11 +284,10 @@ def random_scenario(params: ScenarioParams, rng) -> ChannelScenario:
                         angles_in=PathAngles(float(az_in[i]), float(el_in[i])),
                         angles_out=PathAngles(float(az_out[i]), float(el_out[i])))
         for i in range(p))
-    cp = params.cp_length if params.cp_length is not None else params.max_delay_taps
     return ChannelScenario(paths=paths,
                            block_length=params.block_length,
                            sampling_rate_hz=params.sampling_rate_hz,
-                           cp_length=cp,
+                           cp_length=params.max_delay_taps,
                            tx_geometry=params.tx_geometry(),
                            rx_geometry=params.rx_geometry(),
                            noise_var=params.noise_var,

@@ -9,7 +9,8 @@ array mode and waveform, recording spectra, extracted peaks, per-target
 angle errors, and 1-D cuts through each true target.
 
 All outputs are plain CSV/JSON and are byte-reproducible from the
-(config, seed) pair.
+(config, seed) pair.  One column-wise writer, ``_write_csv``, owns the CSV
+number format; spectra and profiles are written as views of the grids.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 from ._version import __version__
 from .channel import ScenarioParams, random_scenario
 from .geometry import random_surface
-from .music import (default_grid, extract_peaks, grid_to_csv, music_spectrum,
-                    noise_subspace, rx_covariance, unvec_frame)
+from .music import (default_grid, extract_peaks, music_spectrum, noise_subspace,
+                    rx_covariance, unvec_frame)
 from .optimizer import OptimizerConfig, OptimizerResult, achievable_rate, optimize
 from .waveforms import (default_otfs, random_frame, transmit_receive,
                         waveform_factors, waveform_for)
@@ -97,6 +98,9 @@ class ExperimentConfig:
         for m in self.fim_modes:
             if m not in _FIM_MODES:
                 raise ValueError(f"unknown fim mode {m!r}")
+        for key in ("waveforms", "fim_modes", "snr_db"):
+            if len(set(getattr(self, key))) < len(getattr(self, key)):
+                raise ValueError(f"{key} repeats an entry: {getattr(self, key)}")
         if "otfs" in self.waveforms:
             default_otfs(self.block_length)   # rejects a non-square block length
         max_taps = self.scenario_params().max_delay_taps
@@ -175,8 +179,7 @@ class RateSweepResult:
 class MusicResult:
     grids: dict        # (fim_mode, waveform) -> MusicGrid
     peaks: list
-    profiles: list
-    metadata: dict
+    metadata: dict     # its "true_angles_deg" are where the profiles cut
 
 
 @dataclass
@@ -308,7 +311,7 @@ def run_music_experiment(config: ExperimentConfig) -> MusicResult:
     truth_deg = [(np.rad2deg(p.angles_in.azimuth), np.rad2deg(p.angles_in.elevation))
                  for p in scenario.paths]
 
-    grids, peak_rows, profile_rows = {}, [], []
+    grids, peak_rows = {}, []
     combo_idx = 0
     for mode in config.fim_modes:
         y_t, y_r = _mode_surfaces(scenario, mode, rand_pair, optimized_pair)
@@ -334,26 +337,9 @@ def run_music_experiment(config: ExperimentConfig) -> MusicResult:
                     "est_azimuth_deg": est[0] if est else float("nan"),
                     "est_elevation_deg": est[1] if est else float("nan"),
                     "error_deg": err, "peak_shortfall": short})
-            db = 10.0 * np.log10(grid.values)
-            az_deg = np.rad2deg(grid.azimuth_rad)
-            el_deg = np.rad2deg(grid.elevation_rad)
-            for k, truth in enumerate(truth_deg):
-                i0 = int(np.argmin(np.abs(az_deg - truth[0])))
-                j0 = int(np.argmin(np.abs(el_deg - truth[1])))
-                for j, el in enumerate(el_deg):
-                    profile_rows.append({"fim_mode": mode, "waveform": name,
-                                         "scatterer": k, "axis": "elevation",
-                                         "angle_deg": float(el),
-                                         "value_db": float(db[i0, j])})
-                for i, az in enumerate(az_deg):
-                    profile_rows.append({"fim_mode": mode, "waveform": name,
-                                         "scatterer": k, "axis": "azimuth",
-                                         "angle_deg": float(az),
-                                         "value_db": float(db[i, j0])})
     metadata = config.metadata("music")
     metadata["true_angles_deg"] = [list(t) for t in truth_deg]
-    return MusicResult(grids=grids, peaks=peak_rows, profiles=profile_rows,
-                       metadata=metadata)
+    return MusicResult(grids=grids, peaks=peak_rows, metadata=metadata)
 
 
 def run_optimize_once(config: ExperimentConfig) -> OptimizeOnceResult:
@@ -368,19 +354,56 @@ def run_optimize_once(config: ExperimentConfig) -> OptimizeOnceResult:
     return OptimizeOnceResult(result=result, metadata=config.metadata("optimize_once"))
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
+def _column_cells(values) -> list:
+    """One column's cells, by the type of its values: floats to twelve
+    significant digits in one string operation, bools as true/false, and
+    anything else through str."""
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    if all(isinstance(v, float) for v in values):
+        return ("%.12g\n" * len(values) % tuple(values)).splitlines()
+    if all(isinstance(v, bool) for v in values):
+        return ["true" if v else "false" for v in values]
+    return [str(v) for v in values]
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_csv(path, header, columns) -> None:
+    """Write equal-length columns under a header line, in one call."""
+    cells = [_column_cells(column) for column in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells, strict=True)), ""]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_value(row[h]) for h in header) + "\n")
+        fh.write("\n".join(lines))
+
+
+def _write_rows(path, header, rows) -> None:
+    _write_csv(path, header, [[row[h] for row in rows] for h in header])
+
+
+def _write_spectrum(path, grid) -> None:
+    """The grid as azimuth_deg, elevation_deg, value_db rows, azimuth major;
+    each axis's labels are formatted once and repeated."""
+    az = _column_cells(np.rad2deg(grid.azimuth_rad))
+    el = _column_cells(np.rad2deg(grid.elevation_rad))
+    _write_csv(path, ["azimuth_deg", "elevation_deg", "value_db"],
+               [[a for a in az for _ in el], el * len(az),
+                10.0 * np.log10(grid.values).ravel()])
+
+
+def _write_profiles(path, results) -> None:
+    """1-D cuts of each grid's dB values through every true target: along
+    elevation at the nearest azimuth, then along azimuth at the nearest
+    elevation.  Grids come in run order (fim mode, then waveform)."""
+    cuts = []   # (fim_mode, waveform, scatterer, axis, angles_deg, values_db)
+    for (mode, name), grid in results.grids.items():
+        az, el = np.rad2deg(grid.azimuth_rad), np.rad2deg(grid.elevation_rad)
+        db = 10.0 * np.log10(grid.values)
+        for k, (true_az, true_el) in enumerate(results.metadata["true_angles_deg"]):
+            i0, j0 = np.argmin(np.abs(az - true_az)), np.argmin(np.abs(el - true_el))
+            cuts += [(mode, name, k, "elevation", el, db[i0]),
+                     (mode, name, k, "azimuth", az, db[:, j0])]
+    columns = [[cut[c] for cut in cuts for _ in cut[4]] for c in range(4)]
+    columns += [[v for cut in cuts for v in cut[c].tolist()] for c in (4, 5)]
+    _write_csv(path, ["fim_mode", "waveform", "scatterer", "axis", "angle_deg",
+                      "value_db"], columns)
 
 
 def _write_metadata(path, metadata) -> None:
@@ -400,26 +423,23 @@ def emit_results(results, out_dir) -> list:
         return p
 
     if isinstance(results, RateSweepResult):
-        _write_csv(path_of("rate_sweep.csv"),
-                   ["waveform", "fim_mode", "snr_db", "trial", "rate_bits"],
-                   results.records)
-        _write_csv(path_of("rate_summary.csv"),
-                   ["waveform", "fim_mode", "snr_db", "mean_rate_bits",
-                    "stderr_rate_bits", "trials"],
-                   results.summary)
+        _write_rows(path_of("rate_sweep.csv"),
+                    ["waveform", "fim_mode", "snr_db", "trial", "rate_bits"],
+                    results.records)
+        _write_rows(path_of("rate_summary.csv"),
+                    ["waveform", "fim_mode", "snr_db", "mean_rate_bits",
+                     "stderr_rate_bits", "trials"],
+                    results.summary)
         _write_metadata(path_of("run_metadata.json"), results.metadata)
     elif isinstance(results, MusicResult):
         for (mode, name), grid in sorted(results.grids.items()):
-            grid_to_csv(grid, path_of(f"music_spectrum_{mode}_{name}.csv"))
-        _write_csv(path_of("music_peaks.csv"),
-                   ["fim_mode", "waveform", "scatterer", "true_azimuth_deg",
-                    "true_elevation_deg", "est_azimuth_deg", "est_elevation_deg",
-                    "error_deg", "peak_shortfall"],
-                   results.peaks)
-        _write_csv(path_of("music_profiles.csv"),
-                   ["fim_mode", "waveform", "scatterer", "axis", "angle_deg",
-                    "value_db"],
-                   results.profiles)
+            _write_spectrum(path_of(f"music_spectrum_{mode}_{name}.csv"), grid)
+        _write_rows(path_of("music_peaks.csv"),
+                    ["fim_mode", "waveform", "scatterer", "true_azimuth_deg",
+                     "true_elevation_deg", "est_azimuth_deg", "est_elevation_deg",
+                     "error_deg", "peak_shortfall"],
+                    results.peaks)
+        _write_profiles(path_of("music_profiles.csv"), results)
         _write_metadata(path_of("run_metadata.json"), results.metadata)
     elif isinstance(results, OptimizeOnceResult):
         res = results.result

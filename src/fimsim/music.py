@@ -24,7 +24,6 @@ __all__ = [
     "noise_subspace",
     "music_spectrum",
     "extract_peaks",
-    "grid_to_csv",
 ]
 
 DENOMINATOR_FLOOR = 1e-12
@@ -143,13 +142,3 @@ def extract_peaks(grid: MusicGrid, num_peaks: int) -> list:
         warnings.warn(
             f"found {len(peaks)} local maxima, {num_peaks} requested", stacklevel=2)
     return peaks
-
-
-def grid_to_csv(grid: MusicGrid, path) -> None:
-    """Write the grid as CSV rows of azimuth_deg, elevation_deg, value_db."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("azimuth_deg,elevation_deg,value_db\n")
-        db = 10.0 * np.log10(grid.values)
-        for i, az in enumerate(np.rad2deg(grid.azimuth_rad)):
-            for j, el in enumerate(np.rad2deg(grid.elevation_rad)):
-                fh.write(f"{az:.12g},{el:.12g},{db[i, j]:.12g}\n")

@@ -20,7 +20,6 @@ __all__ = [
     "OFDM",
     "OTFS",
     "AFDM",
-    "SymbolFrame",
     "dft_matrix",
     "domain_transform",
     "modulate",
@@ -162,27 +161,19 @@ def waveform_for(name: str, scenario: ChannelScenario):
 _QPSK = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class SymbolFrame:
-    """Stacked per-stream constellation symbols for one frame."""
-
-    symbols: np.ndarray
-    order: int = 4
-    symbol_energy: float = 1.0
-
-
-def random_frame(block_length: int, num_streams: int, rng) -> SymbolFrame:
-    """Uniform unit-energy QPSK frame of length N * d_s."""
+def random_frame(block_length: int, num_streams: int, rng) -> np.ndarray:
+    """Stacked per-stream symbols of one frame: N * d_s uniform unit-energy
+    QPSK symbols."""
     rng = np.random.default_rng(rng)
     idx = rng.integers(0, 4, block_length * num_streams)
-    return SymbolFrame(symbols=_QPSK[idx])
+    return _QPSK[idx]
 
 
 def transmit_receive(spec, scenario: ChannelScenario, tx_surface, rx_surface,
                      frame, rng) -> np.ndarray:
     """Demodulated receive vector: effective channel times the frame plus
     circularly-symmetric Gaussian noise of the scenario's variance."""
-    x = frame.symbols if isinstance(frame, SymbolFrame) else np.asarray(frame, dtype=complex)
+    x = np.asarray(frame, dtype=complex)
     h = effective_channel(spec, scenario, tx_surface, rx_surface)
     if x.shape != (h.shape[0],):
         raise ValueError(f"frame length {x.shape} does not match channel {h.shape}")

@@ -186,3 +186,16 @@ def dense_objective_gradient(spec, scenario, tx_surface, rx_surface,
             dh = grad_fn(spec, scenario, tx_surface, rx_surface, element)
             parts.append(objective_grad_element(h, gram, dh, beta, psi, noise_var))
     return np.array(parts)
+
+
+def oracle_csv_text(header, rows):
+    """CSV text written one value at a time: floats through format(v, ".12g"),
+    bools in lower case, anything else through str."""
+    def cell(value):
+        if isinstance(value, bool):
+            return str(value).lower()
+        if isinstance(value, float):
+            return format(value, ".12g")
+        return str(value)
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])

@@ -104,6 +104,15 @@ class TestFailures:
         assert "perfect square" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_list_entry_fails_before_any_work(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(FAST_CFG + "waveforms = ofdm, ofdm\nsnr_db = 10, 10\n")
+        out = tmp_path / "out"
+        code = main(["music", "--config", str(bad), "--out", str(out)])
+        assert code == 2
+        assert "repeats" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # Runs two CLI commands in one fresh interpreter and prints, last, every
 # SciPy module that got imported along the way.

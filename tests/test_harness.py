@@ -6,10 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from fimsim import (ExperimentConfig, config_from_file, default_grid,
-                    emit_results, parse_config_file, run_music_experiment,
-                    run_optimize_once, run_rate_sweep)
+from fimsim import (ExperimentConfig, MusicGrid, MusicResult, RateSweepResult,
+                    config_from_file, default_grid, emit_results,
+                    parse_config_file, run_music_experiment, run_optimize_once,
+                    run_rate_sweep)
 from fimsim.harness import summarize_rates
+
+from helpers import oracle_csv_text
 
 TINY_RATE = ExperimentConfig(snr_db=(0.0, 10.0), trials=2, seed=3,
                              optimizer_iters=10)
@@ -62,6 +65,18 @@ class TestConfig:
     ])
     def test_rejects_configs_that_would_fail_mid_run(self, values):
         with pytest.raises(ValueError):
+            ExperimentConfig(**values)
+
+    @pytest.mark.parametrize("values", [
+        dict(waveforms=("ofdm", "ofdm")),
+        dict(waveforms=("OFDM", "afdm", "ofdm")),
+        dict(fim_modes=("none", "random", "none")),
+        dict(snr_db=(10.0, 10)),
+    ])
+    def test_rejects_repeated_list_entries(self, values):
+        # a repeat would double a summary group's trials and overwrite a
+        # spectrum file while adding its peak rows twice
+        with pytest.raises(ValueError, match="repeats"):
             ExperimentConfig(**values)
 
     def test_non_square_block_length_without_otfs(self):
@@ -211,10 +226,115 @@ class TestMusicExperiment:
             assert (dir_a / name).exists(), name
             assert filecmp.cmp(dir_a / name, dir_b / name, shallow=False)
 
-    def test_profiles_cover_both_axes(self, music_result):
-        result = music_result
-        axes = {row["axis"] for row in result.profiles}
+    def test_profiles_cover_both_axes(self, tmp_path, music_result):
+        emit_results(music_result, tmp_path)
+        lines = (tmp_path / "music_profiles.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        axes = {dict(zip(header, line.split(",")))["axis"] for line in lines[1:]}
         assert axes == {"azimuth", "elevation"}
+
+
+PEAK_HEADER = ["fim_mode", "waveform", "scatterer", "true_azimuth_deg",
+               "true_elevation_deg", "est_azimuth_deg", "est_elevation_deg",
+               "error_deg", "peak_shortfall"]
+
+
+def oracle_profile_rows(grids, truth_deg):
+    """Profile rows built one at a time, grids in insertion order."""
+    rows = []
+    for (mode, name), grid in grids.items():
+        db = 10.0 * np.log10(grid.values)
+        az = np.rad2deg(grid.azimuth_rad)
+        el = np.rad2deg(grid.elevation_rad)
+        for k, (t_az, t_el) in enumerate(truth_deg):
+            i0 = int(np.argmin(np.abs(az - t_az)))
+            j0 = int(np.argmin(np.abs(el - t_el)))
+            rows += [(mode, name, k, "elevation", el[j], db[i0, j])
+                     for j in range(el.size)]
+            rows += [(mode, name, k, "azimuth", az[i], db[i, j0])
+                     for i in range(az.size)]
+    return rows
+
+
+class TestCsvAgainstOracle:
+    """Every emitted CSV matches a writer that formats one value at a time."""
+
+    def test_rate_sweep_files(self, tmp_path):
+        nan = float("nan")
+        records = [
+            {"waveform": "ofdm", "fim_mode": "none", "snr_db": -0.0, "trial": 0,
+             "rate_bits": nan},
+            {"waveform": "ofdm", "fim_mode": "random", "snr_db": 1e-300,
+             "trial": 12345678901234, "rate_bits": 123456789012.5},
+            {"waveform": "afdm", "fim_mode": "optimized", "snr_db": 12.5,
+             "trial": 12, "rate_bits": 1.0 / 3.0},
+        ]
+        summary = [
+            {"waveform": "ofdm", "fim_mode": "none", "snr_db": 0.0,
+             "mean_rate_bits": 2.0, "stderr_rate_bits": 0.0, "trials": 1},
+            {"waveform": "afdm", "fim_mode": "optimized", "snr_db": -3.25,
+             "mean_rate_bits": nan, "stderr_rate_bits": 1e-300, "trials": 10},
+        ]
+        emit_results(RateSweepResult(records=records, summary=summary,
+                                     metadata={}), tmp_path)
+        for name, rows in (("rate_sweep.csv", records), ("rate_summary.csv", summary)):
+            header = list(rows[0])
+            expected = oracle_csv_text(header, [[r[h] for h in header] for r in rows])
+            assert (tmp_path / name).read_text() == expected
+
+    def test_music_files(self, tmp_path):
+        values = np.array([[0.25, 1e-300], [1.0, 0.5], [0.125, 1.0 / 3.0]])
+        wide = MusicGrid(azimuth_rad=np.deg2rad([-0.0, 45.0, 90.0]),
+                         elevation_rad=np.deg2rad([0.0, 123.456]), values=values)
+        single = MusicGrid(azimuth_rad=np.array([0.1]),
+                           elevation_rad=np.array([1.2]), values=np.ones((1, 1)))
+        # insertion order differs from the sorted order of the file names
+        grids = {("optimized", "otfs"): wide, ("none", "ofdm"): single,
+                 ("none", "afdm"): wide}
+        truth = [[44.0, 100.0], [-1.0, 0.0]]
+        nan = float("nan")
+        peaks = [
+            {"fim_mode": "optimized", "waveform": "otfs", "scatterer": 0,
+             "true_azimuth_deg": 44.0, "true_elevation_deg": 100.0,
+             "est_azimuth_deg": nan, "est_elevation_deg": nan,
+             "error_deg": nan, "peak_shortfall": True},
+            {"fim_mode": "none", "waveform": "ofdm", "scatterer": 1,
+             "true_azimuth_deg": -1.0, "true_elevation_deg": 0.0,
+             "est_azimuth_deg": -0.0, "est_elevation_deg": 123456789012.5,
+             "error_deg": 1e-300, "peak_shortfall": False},
+        ]
+        result = MusicResult(grids=grids, peaks=peaks,
+                             metadata={"true_angles_deg": truth})
+        emit_results(result, tmp_path)
+        for (mode, name), grid in grids.items():
+            db = 10.0 * np.log10(grid.values)
+            rows = [(az, el, db[i, j])
+                    for i, az in enumerate(np.rad2deg(grid.azimuth_rad))
+                    for j, el in enumerate(np.rad2deg(grid.elevation_rad))]
+            text = (tmp_path / f"music_spectrum_{mode}_{name}.csv").read_text()
+            assert text == oracle_csv_text(
+                ["azimuth_deg", "elevation_deg", "value_db"], rows)
+        assert "-0,0,-6.02059991328\n" in (
+            tmp_path / "music_spectrum_none_afdm.csv").read_text()
+        assert (tmp_path / "music_spectrum_none_ofdm.csv").read_text().endswith(
+            "5.72957795131,68.7549354157,0\n")
+        assert (tmp_path / "music_peaks.csv").read_text() == oracle_csv_text(
+            PEAK_HEADER, [[r[h] for h in PEAK_HEADER] for r in peaks])
+        assert (tmp_path / "music_profiles.csv").read_text() == oracle_csv_text(
+            ["fim_mode", "waveform", "scatterer", "axis", "angle_deg", "value_db"],
+            oracle_profile_rows(grids, truth))
+
+    def test_empty_results(self, tmp_path):
+        emit_results(RateSweepResult(records=[], summary=[], metadata={}), tmp_path)
+        emit_results(MusicResult(grids={}, peaks=[],
+                                 metadata={"true_angles_deg": [[0.0, 90.0]]}),
+                     tmp_path)
+        assert (tmp_path / "rate_summary.csv").read_text() == (
+            "waveform,fim_mode,snr_db,mean_rate_bits,stderr_rate_bits,trials\n")
+        assert (tmp_path / "music_peaks.csv").read_text() == oracle_csv_text(
+            PEAK_HEADER, [])
+        assert (tmp_path / "music_profiles.csv").read_text() == (
+            "fim_mode,waveform,scatterer,axis,angle_deg,value_db\n")
 
 
 class TestOptimizeOnce:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from fimsim import (MusicGrid, OFDM, default_grid, extract_peaks, grid_to_csv,
-                    music_spectrum, noise_subspace, random_frame,
+from fimsim import (MusicGrid, MusicResult, OFDM, default_grid, emit_results,
+                    extract_peaks, music_spectrum, noise_subspace, random_frame,
                     random_surface, rx_covariance, steering_vector,
                     transmit_receive, unvec_frame)
 from fimsim.geometry import PathAngles
@@ -241,9 +241,10 @@ class TestGridCsv:
         basis = noise_subspace(rx_covariance(mat), 1)
         az, el = default_grid(30.0)
         grid = music_spectrum(basis, scenario.rx_geometry, y_r, az, el)
-        path = tmp_path / "grid.csv"
-        grid_to_csv(grid, path)
-        lines = path.read_text().splitlines()
+        result = MusicResult(grids={("none", "ofdm"): grid}, peaks=[],
+                             metadata={"true_angles_deg": []})
+        emit_results(result, tmp_path)
+        lines = (tmp_path / "music_spectrum_none_ofdm.csv").read_text().splitlines()
         assert lines[0] == "azimuth_deg,elevation_deg,value_db"
         assert len(lines) == 1 + az.size * el.size
         values = np.array([[float(f) for f in line.split(",")] for line in lines[1:]])
