@@ -1,9 +1,10 @@
 """Doubly-dispersive block channels and the three waveforms on top of them.
 
-Each path of a sampled delay-Doppler channel acts on a frame as
-prefix-phase * Doppler-ramp * cyclic-shift (all unitary), scaled by a
-rank-one spatial outer product of the two array responses.  The script
-assembles the block channel, checks the structure numerically, and then
+Each path of a sampled delay-Doppler channel acts on a frame as a cyclic
+delay shift whose output samples are scaled by a unit-modulus ramp (the
+Doppler phase times the prefix phase), all times a rank-one spatial outer
+product of the two array responses.  The script shows each path's tap and
+ramp from the channel record, assembles the block channel, and then
 compares the effective channels seen by OFDM, OTFS, and AFDM: their
 singular values coincide, so the log-det achievable rate is identical.
 
@@ -12,9 +13,9 @@ Run:  python demos/02_delay_doppler_channels.py
 
 import numpy as np
 
-from fimsim import (ScenarioParams, achievable_rate, assemble_effective_td,
-                    cp_phase_function, domain_transform, effective_channel,
-                    path_time_matrix, random_scenario, random_surface,
+from fimsim import (ChannelFactors, ScenarioParams, achievable_rate,
+                    assemble_effective_td, cp_phase_function, domain_transform,
+                    effective_channel, random_scenario, random_surface,
                     waveform_for)
 
 params = ScenarioParams(block_length=16, num_paths=2)
@@ -30,11 +31,14 @@ for i, p in enumerate(scenario.paths):
 y_t = random_surface(scenario.tx_geometry, 2)
 y_r = random_surface(scenario.rx_geometry, 3)
 
-# per-path time matrices are unitary
-for i, p in enumerate(scenario.paths):
-    g = path_time_matrix(scenario, p)
-    defect = np.max(np.abs(g @ g.conj().T - np.eye(16)))
-    print(f"path {i} time matrix unitarity defect: {defect:.2e}")
+# each path's time response is monomial: sample k of the output is
+# ramp[k] times input sample (k - tap) mod N, with |ramp[k]| = 1
+record = ChannelFactors(scenario)
+for i, (tap, ramp) in enumerate(zip(record.taps, record.ramps)):
+    defect = np.max(np.abs(np.abs(ramp) - 1.0))
+    print(f"path {i} time response: tap={tap}, "
+          f"ramp phase step={np.angle(ramp[1] / ramp[0]):+.4f} rad, "
+          f"unit-modulus defect: {defect:.2e}")
 
 h_td = assemble_effective_td(scenario, y_t, y_r)
 print(f"\nblock channel shape: {h_td.shape}, power tr(HH^H) = "

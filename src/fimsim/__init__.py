@@ -11,11 +11,10 @@ estimates scatterer angles at the receiver with a 2D subspace scan.
 from ._version import __version__
 from .channel import (SPEED_OF_LIGHT, ChannelFactors, ChannelScenario,
                       PropagationPath, ScenarioParams, assemble_effective_td,
-                      cp_phase_matrix, cyclic_shift_matrix, doppler_matrix,
-                      path_time_matrix, random_scenario)
+                      random_scenario)
 from .geometry import (FimGeometry, PathAngles, element_positions,
-                       project_surface, random_surface, steering_derivative,
-                       steering_matrix, steering_vector, validate_surface)
+                       project_surface, random_surface, steering_matrix,
+                       steering_vector, validate_surface)
 from .harness import (ExperimentConfig, MusicResult, OptimizeOnceResult,
                       RateSweepResult, config_from_file, emit_results,
                       parse_config_file, run_music_experiment,

@@ -1,12 +1,15 @@
 """Sampled doubly-dispersive MIMO channel with morphable arrays at both ends.
 
 Each propagation path contributes a rank-one spatial outer product (from
-the transmit/receive steering vectors) and an N x N unitary time matrix
-built from three factors: a prefix phase correction, a Doppler phase
-ramp, and a cyclic delay shift.  The block transfer matrix over one frame
-is the sum of Kronecker products of the two.  ``ChannelFactors`` holds
-everything about a scenario's paths that the surface shapes leave fixed,
-and is the one place that sum is formed.
+the transmit/receive steering vectors) and an N x N unitary time response:
+a cyclic delay shift whose rows are scaled by a Doppler phase ramp and, on
+the wrapped samples, by a prefix phase.  That response is monomial (one
+entry per row), so it is stored as a delay tap and one length-N ramp.
+The time-domain block transfer matrix over one frame is the sum of
+Kronecker products of the two.  ``ChannelFactors`` holds everything about
+a scenario's paths that the surface shapes leave fixed, and is the one
+place that sum is formed; a waveform enters it only through its prefix
+phase.
 """
 
 from __future__ import annotations
@@ -23,10 +26,6 @@ __all__ = [
     "ChannelScenario",
     "ScenarioParams",
     "ChannelFactors",
-    "cyclic_shift_matrix",
-    "doppler_matrix",
-    "cp_phase_matrix",
-    "path_time_matrix",
     "assemble_effective_td",
     "random_scenario",
 ]
@@ -103,59 +102,30 @@ class ChannelScenario:
         return max(abs(p.doppler_hz) for p in self.paths)
 
 
-def cyclic_shift_matrix(n: int, ell: int) -> np.ndarray:
-    """Permutation matrix delaying a length-n vector circularly by ell samples."""
-    if not 0 <= ell < n:
-        raise ValueError(f"shift {ell} outside [0, {n})")
-    return np.roll(np.eye(n), ell, axis=0)
-
-
-def doppler_matrix(n: int, f: float) -> np.ndarray:
-    """diag(exp(-j 2 pi f k / n)), k = 0..n-1; fractional f supported."""
-    return np.diag(np.exp(-2j * np.pi * f * np.arange(n) / n))
-
-
-def cp_phase_matrix(n: int, ell: int, phase_fn=None) -> np.ndarray:
-    """Diagonal prefix correction for a path with delay tap ell.
-
-    The first ell entries are exp(-j 2 pi phase_fn(m)) for m = ell, ..., 1;
-    the rest are ones.  ``phase_fn=None`` means a phase-free prefix
-    (plain cyclic prefix) and yields the identity.
-    """
-    if not 0 <= ell < n:
-        raise ValueError(f"delay tap {ell} outside [0, {n})")
-    diag = np.ones(n, dtype=complex)
-    if phase_fn is not None and ell > 0:
-        phases = np.array([phase_fn(ell - i) for i in range(ell)], dtype=float)
-        diag[:ell] = np.exp(-2j * np.pi * phases)
-    return np.diag(diag)
-
-
-def path_time_matrix(scenario: ChannelScenario, path: PropagationPath,
-                     phase_fn=None) -> np.ndarray:
-    """Unitary N x N time response of one path: prefix * Doppler * shift."""
-    n = scenario.block_length
-    ell = path.delay_taps(scenario.sampling_rate_hz)
-    f = path.normalized_doppler(n, scenario.sampling_rate_hz)
-    return cp_phase_matrix(n, ell, phase_fn) @ doppler_matrix(n, f) @ cyclic_shift_matrix(n, ell)
-
-
 class ChannelFactors:
-    """Surface-independent per-path factors of one scenario's block channel.
+    """Surface-independent per-path factors of one scenario's time-domain
+    block channel.
 
     Path p contributes ``kron(weight_p * outer(a_r,p, conj(a_t,p)), T_p)``
     with ``weight_p = sqrt(N_t * N_r / P) * gain_p``, ``a_t,p`` and
     ``a_r,p`` the first d_s entries of the transmit and receive steering
     vectors (identity-selection beamformers keep the first d_s elements),
-    and ``T_p`` the path's N x N time response, conjugated to
-    ``W T_p W^H`` when a unitary waveform transform ``W`` is given.  Only
-    the steering entries depend on the surface shapes, so a record is
-    built once per scenario and waveform and evaluated at any shapes.
+    and ``T_p`` the path's N x N time response.  ``T_p`` is monomial: row k
+    holds the single entry ``T_p[k, columns[p, k]] = ramps[p, k]`` with
+    ``columns[p, k] = (k - taps[p]) mod N``, and ``ramps[p]`` is the Doppler
+    ramp exp(-j 2 pi f_p k / N) times, on its first ``taps[p]`` entries,
+    the prefix phase exp(-j 2 pi phase_fn(m)) for m = taps[p], ..., 1.  A
+    waveform enters only through ``phase_fn``; its unitary transform W
+    leaves the rate, the channel power and the shape gradient unchanged,
+    so the record holds no W.  Only the steering entries depend on the
+    surface shapes, so a record is built once per scenario and prefix
+    phase and evaluated at any shapes.
     """
 
-    def __init__(self, scenario: ChannelScenario, phase_fn=None, transform=None):
+    def __init__(self, scenario: ChannelScenario, phase_fn=None):
         paths = scenario.paths
         tx, rx = scenario.tx_geometry, scenario.rx_geometry
+        n, fs = scenario.block_length, scenario.sampling_rate_hz
         self.scenario = scenario
         self.weights = (np.sqrt(tx.num_elements * rx.num_elements / scenario.num_paths)
                         * np.array([p.gain for p in paths]))
@@ -168,10 +138,15 @@ class ChannelFactors:
                          * np.sin(self.az_out) * np.sin(self.el_out))
         self.slope_rx = (1j * (2.0 * np.pi / rx.wavelength)
                          * np.sin(self.az_in) * np.sin(self.el_in))
-        times = [path_time_matrix(scenario, p, phase_fn) for p in paths]
-        if transform is not None:
-            times = [transform @ t @ transform.conj().T for t in times]
-        self.times = np.array(times)
+        k = np.arange(n)
+        self.taps = np.array([p.delay_taps(fs) for p in paths])
+        self.columns = (k - self.taps[:, None]) % n
+        self.ramps = np.array([np.exp(-2j * np.pi * p.normalized_doppler(n, fs) * k / n)
+                               for p in paths])
+        if phase_fn is not None:
+            for ramp, tap in zip(self.ramps, self.taps):
+                phases = np.array([phase_fn(tap - i) for i in range(tap)], dtype=float)
+                ramp[:tap] *= np.exp(-2j * np.pi * phases)
 
     def steering(self, tx_surface, rx_surface):
         """First d_s steering entries of every path as (d_s, P) columns,
@@ -187,14 +162,17 @@ class ChannelFactors:
 
         Shape is (N * d_s, N * d_s) with the per-stream sample blocks laid
         out stream-major, matching the stacked transmit/receive vectors.
+        Each path adds ``ramps[p, k] * spatial_p`` at sample rows k and
+        columns ``columns[p, k]`` of every stream block.
         """
         a_t, a_r = self.steering(tx_surface, rx_surface)
         n, d = self.scenario.block_length, self.scenario.num_streams
-        out = np.zeros((n * d, n * d), dtype=complex)
-        for p, time in enumerate(self.times):
+        rows = np.arange(n)
+        out = np.zeros((d, n, d, n), dtype=complex)
+        for p, (cols, ramp) in enumerate(zip(self.columns, self.ramps)):
             spatial = self.weights[p] * np.outer(a_r[:, p], a_t[:, p].conj())
-            out += np.kron(spatial, time)
-        return out
+            out[:, rows, :, cols] += ramp[:, None, None] * spatial
+        return out.reshape(d * n, d * n)
 
 
 def assemble_effective_td(scenario: ChannelScenario, tx_surface, rx_surface,

@@ -20,7 +20,6 @@ __all__ = [
     "element_positions",
     "steering_vector",
     "steering_matrix",
-    "steering_derivative",
     "project_surface",
     "random_surface",
     "validate_surface",
@@ -148,23 +147,6 @@ def steering_matrix(geom: FimGeometry, surface, azimuth, elevation) -> np.ndarra
     phase = (2.0 * np.pi / geom.wavelength) * (
         np.outer(pos[:, 0], u) + np.outer(pos[:, 1], v) + np.outer(pos[:, 2], w))
     return np.exp(1j * phase) / np.sqrt(geom.num_elements)
-
-
-def steering_derivative(geom: FimGeometry, surface, angles: PathAngles,
-                        element: int) -> np.ndarray:
-    """Derivative of the steering vector w.r.t. one element's y coordinate.
-
-    Only the chosen entry is nonzero:
-    ``j * 2*pi/wavelength * sin(azimuth) * sin(elevation) * b[element]``.
-    ``element`` is 0-based.
-    """
-    if not 0 <= element < geom.num_elements:
-        raise IndexError(f"element {element} outside [0, {geom.num_elements})")
-    vec = steering_vector(geom, surface, angles)
-    out = np.zeros_like(vec)
-    scale = 1j * (2.0 * np.pi / geom.wavelength) * np.sin(angles.azimuth) * np.sin(angles.elevation)
-    out[element] = scale * vec[element]
-    return out
 
 
 def project_surface(geom: FimGeometry, surface) -> np.ndarray:

@@ -4,22 +4,24 @@ The objective for a pair of surface shapes (y_t, y_r) is
 
     f = log2 det(I + H H^H / sigma^2) + beta * min(tr(H H^H) - psi, 0)
 
-where H is the effective block channel of the chosen waveform, sigma^2
-the noise variance, and psi a floor on the total channel power serving as
-the sensing constraint.  H is evaluated from the scenario's
-``ChannelFactors`` record, built once per ascent: only the rank-one
-spatial factors depend on the shapes, and each element's y coordinate
-enters one row (receive) or one column (transmit) of each path's factor.
-The gradient is therefore computed by an adjoint: one dense numpy solve
-gives
+where H is the block channel of the chosen waveform, sigma^2 the noise
+variance, and psi a floor on the total channel power serving as the
+sensing constraint.  The waveform's unitary transform changes neither
+term, so H is the time-domain channel with the waveform's prefix phase,
+evaluated from the scenario's ``ChannelFactors`` record, built once per
+ascent: only the rank-one spatial factors depend on the shapes, and each
+element's y coordinate enters one row (receive) or one column (transmit)
+of each path's factor.  The gradient is therefore computed by an adjoint:
+one dense numpy solve gives
 
     A = (I + H H^H / sigma^2)^-1 H / (sigma^2 ln 2)  [+ beta * H while the
                                                       floor is violated]
 
 and each partial df/dy_b = 2 Re <A, dH/dy_b> reduces, per path, to a
 length-d_s dot product with the d_s x d_s contraction of A's N x N
-blocks against that path's time matrix.  Ascent uses simultaneous
-projected updates with an Armijo backtracking line search.
+blocks against that path's monomial time response: A gathered at the
+path's N (row, column) positions and weighted by its ramp.  Ascent uses
+simultaneous projected updates with an Armijo backtracking line search.
 """
 
 from __future__ import annotations
@@ -142,8 +144,9 @@ def _adjoint_gradient(factors: ChannelFactors, tx_surface, rx_surface, h,
         adj += penalty * h
     # sens[p, v, u] = <A_vu, T_p>, so that <A, dH> is the sum over p, v, u
     # of sens[p, v, u] * dS_p[v, u] for a change dS_p of path p's
-    # stream-reduced spatial factor
-    sens = np.einsum("vaub,pab->pvu", adj.conj().reshape(d, n, d, n), factors.times)
+    # stream-reduced spatial factor; T_p is nonzero only at (k, columns[p, k])
+    gathered = adj.reshape(d, n, d, n)[:, np.arange(n), :, factors.columns]
+    sens = np.einsum("pkvu,pk->pvu", gathered.conj(), factors.ramps)
     a_t, a_r = factors.steering(tx_surface, rx_surface)
     # dH/dy_b has one nonzero spatial column (transmit element b) or row
     # (receive element b) per path; elements past d_s never enter H.

@@ -4,7 +4,11 @@ Three unitary domain transforms are supported: plain DFT multicarrier
 (OFDM), the delay-Doppler Zak arrangement (OTFS), and the chirp-based
 affine DFT (AFDM).  Modulation applies the adjoint transform per stream,
 demodulation applies the transform itself, and the effective channel of a
-frame is the time-domain block channel conjugated by the transform.
+frame is the time-domain block channel conjugated by the transform.  The
+transform is unitary, so the rate, the channel power and the shape
+gradient see a waveform only through its prefix phase: ``waveform_factors``
+builds the time-domain record with that phase, and only
+``effective_channel`` (and ``transmit_receive`` through it) applies W.
 """
 
 from __future__ import annotations
@@ -104,7 +108,15 @@ def demodulate(spec, samples) -> np.ndarray:
 
 def cp_phase_function(spec):
     """Prefix phase of the scheme: None (phase-free cyclic prefix) except for
-    AFDM, whose chirp-periodic prefix advances the chirp across the wrap."""
+    AFDM, whose chirp-periodic prefix advances the chirp across the wrap.
+
+    AFDM's phase is c1 (N^2 - 2 N m), m = tap, ..., 1, on the first tap
+    received samples of a path, the ones its prefix supplies.  With the
+    Doppler-matched ``afdm_c1``, 2 N c1 is an odd integer, so the phase is
+    an integer (a plain cyclic prefix, the same channel as OFDM) only at
+    even N; at odd N it is a half-odd integer and the prefix is
+    anti-cyclic: the wrapped samples flip sign, and the rate departs from
+    OFDM's."""
     if isinstance(spec, AFDM):
         n, c1 = spec.block_length, spec.c1
         return lambda m: c1 * (n * n - 2.0 * n * m)
@@ -112,21 +124,29 @@ def cp_phase_function(spec):
 
 
 def waveform_factors(spec, scenario: ChannelScenario) -> ChannelFactors:
-    """Per-path channel factors of a scenario seen through a waveform: the
-    scheme's prefix phase, and time responses conjugated by its transform."""
+    """Time-domain channel record of a scenario under a waveform: the
+    block lengths must agree, and the scheme's prefix phase is applied."""
     if spec.block_length != scenario.block_length:
         raise ValueError("waveform and scenario block lengths differ")
-    return ChannelFactors(scenario, cp_phase_function(spec), domain_transform(spec))
+    return ChannelFactors(scenario, cp_phase_function(spec))
 
 
 def effective_channel(spec, scenario: ChannelScenario, tx_surface, rx_surface) -> np.ndarray:
-    """Symbol-domain block channel: sum_p kron(spatial_p, W @ time_p @ W^H)."""
-    return waveform_factors(spec, scenario).matrix(tx_surface, rx_surface)
+    """Symbol-domain block channel: every N x N stream-pair block of the
+    time-domain channel conjugated by the transform, W @ block @ W^H."""
+    h = waveform_factors(spec, scenario).matrix(tx_surface, rx_surface)
+    n, d = scenario.block_length, scenario.num_streams
+    w = domain_transform(spec)
+    blocks = h.reshape(d, n, d, n).transpose(0, 2, 1, 3)
+    return (w @ blocks @ w.conj().T).transpose(0, 2, 1, 3).reshape(d * n, d * n)
 
 
 def afdm_c1(scenario: ChannelScenario) -> float:
     """Doppler-matched first chirp rate: (2 * ceil(f_max) + 1) / (2 N) with
-    f_max the per-frame normalized Doppler bound."""
+    f_max the per-frame normalized Doppler bound.
+
+    The prefix of ``cp_phase_function`` is then cyclic only at even N; at
+    odd N it is anti-cyclic, and AFDM's rate differs from OFDM's."""
     n = scenario.block_length
     f_max = n * scenario.doppler_bound_hz() / scenario.sampling_rate_hz
     return (2.0 * math.ceil(f_max) + 1.0) / (2.0 * n)

@@ -2,16 +2,20 @@
 
 Everything here is written from scratch (scalar loops, no reuse of the
 library's matrix assembly) so it can serve as a second route against
-which the production code is checked.  The dense gradient oracle forms
-each element's full channel derivative and solves against it separately,
-the per-element route that the library's adjoint gradient replaces.
+which the production code is checked.  The dense time factors build each
+path's N x N time response as a product of a prefix-phase diagonal, a
+Doppler diagonal and a cyclic shift, the form the library's monomial
+record replaces.  The dense gradient oracle forms each element's full
+channel derivative and solves against it separately, the per-element
+route that the library's adjoint gradient replaces.
 """
 
 import numpy as np
 
-from fimsim import (ScenarioParams, cp_phase_function, domain_transform,
-                    effective_channel, path_time_matrix, random_scenario,
-                    sensing_slack, steering_derivative, steering_vector)
+from fimsim import (ChannelScenario, FimGeometry, PathAngles, PropagationPath,
+                    ScenarioParams, cp_phase_function, domain_transform,
+                    effective_channel, random_scenario, sensing_slack,
+                    steering_vector)
 
 SMALL_MAX_RANGE_M = 90.0  # keeps delay taps below a block length of 8
 
@@ -36,6 +40,60 @@ def oracle_steering(geom, surface, azimuth, elevation):
         + y * np.sin(elevation) * np.sin(azimuth)
         + z * np.cos(elevation))
     return np.exp(1j * phase) / np.sqrt(geom.num_elements)
+
+
+def steering_derivative(geom: FimGeometry, surface, angles: PathAngles,
+                        element: int) -> np.ndarray:
+    """Derivative of the steering vector w.r.t. one element's y coordinate.
+
+    Only the chosen entry is nonzero:
+    ``j * 2*pi/wavelength * sin(azimuth) * sin(elevation) * b[element]``.
+    ``element`` is 0-based.
+    """
+    if not 0 <= element < geom.num_elements:
+        raise IndexError(f"element {element} outside [0, {geom.num_elements})")
+    vec = steering_vector(geom, surface, angles)
+    out = np.zeros_like(vec)
+    scale = 1j * (2.0 * np.pi / geom.wavelength) * np.sin(angles.azimuth) * np.sin(angles.elevation)
+    out[element] = scale * vec[element]
+    return out
+
+
+def cyclic_shift_matrix(n: int, ell: int) -> np.ndarray:
+    """Permutation matrix delaying a length-n vector circularly by ell samples."""
+    if not 0 <= ell < n:
+        raise ValueError(f"shift {ell} outside [0, {n})")
+    return np.roll(np.eye(n), ell, axis=0)
+
+
+def doppler_matrix(n: int, f: float) -> np.ndarray:
+    """diag(exp(-j 2 pi f k / n)), k = 0..n-1; fractional f supported."""
+    return np.diag(np.exp(-2j * np.pi * f * np.arange(n) / n))
+
+
+def cp_phase_matrix(n: int, ell: int, phase_fn=None) -> np.ndarray:
+    """Diagonal prefix correction for a path with delay tap ell.
+
+    The first ell entries are exp(-j 2 pi phase_fn(m)) for m = ell, ..., 1;
+    the rest are ones.  ``phase_fn=None`` means a phase-free prefix
+    (plain cyclic prefix) and yields the identity.
+    """
+    if not 0 <= ell < n:
+        raise ValueError(f"delay tap {ell} outside [0, {n})")
+    diag = np.ones(n, dtype=complex)
+    if phase_fn is not None and ell > 0:
+        phases = np.array([phase_fn(ell - i) for i in range(ell)], dtype=float)
+        diag[:ell] = np.exp(-2j * np.pi * phases)
+    return np.diag(diag)
+
+
+def path_time_matrix(scenario: ChannelScenario, path: PropagationPath,
+                     phase_fn=None) -> np.ndarray:
+    """Unitary N x N time response of one path: prefix * Doppler * shift."""
+    n = scenario.block_length
+    ell = path.delay_taps(scenario.sampling_rate_hz)
+    f = path.normalized_doppler(n, scenario.sampling_rate_hz)
+    return cp_phase_matrix(n, ell, phase_fn) @ doppler_matrix(n, f) @ cyclic_shift_matrix(n, ell)
 
 
 def path_outer_matrix(path, tx_geom, tx_surface, rx_geom, rx_surface, num_paths):

@@ -10,14 +10,15 @@ import numpy as np
 
 from fimsim import (OTFS, ExperimentConfig, ScenarioParams,
                     achievable_rate, assemble_effective_td, channel_power,
-                    cp_phase_function, cp_phase_matrix, cyclic_shift_matrix,
-                    domain_transform, doppler_matrix, effective_channel,
+                    cp_phase_function, domain_transform, effective_channel,
                     emit_results, objective_gradient, optimize,
-                    path_time_matrix, penalized_objective, random_scenario,
-                    random_surface, run_music_experiment, run_rate_sweep,
+                    penalized_objective, random_scenario, random_surface,
+                    run_music_experiment, run_rate_sweep, waveform_factors,
                     waveform_for)
 
-from helpers import oracle_td_channel, relative_error, small_params
+from helpers import (cp_phase_matrix, cyclic_shift_matrix, doppler_matrix,
+                     oracle_td_channel, path_time_matrix, relative_error,
+                     small_params)
 
 GRID_STEP_DEG = 1.0
 FD_REL_TOL = 1e-5
@@ -128,8 +129,11 @@ def test_criterion_3_channel_assembly_oracle():
 
 
 def test_criterion_4_unitarity_suite():
-    """Every time-matrix factor and domain transform is unitary."""
+    """Every time-matrix factor and domain transform is unitary, and the
+    library's monomial time record (unit-modulus ramps on permuted
+    columns) expands to the dense oracle factors."""
     worst = 0.0
+    record_ok = True
 
     def unitary_defect(mat):
         return float(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))))
@@ -148,11 +152,20 @@ def test_criterion_4_unitarity_suite():
             worst = max(worst, unitary_defect(cp_phase_matrix(n, ell, phase)))
             worst = max(worst, unitary_defect(path_time_matrix(scenario, path, phase)))
     for name in ("ofdm", "otfs", "afdm"):
-        worst = max(worst, unitary_defect(domain_transform(waveform_for(name, scenario))))
+        spec = waveform_for(name, scenario)
+        worst = max(worst, unitary_defect(domain_transform(spec)))
+        record = waveform_factors(spec, scenario)
+        worst = max(worst, float(np.max(np.abs(np.abs(record.ramps) - 1.0))))
+        for path, cols, ramp in zip(scenario.paths, record.columns, record.ramps):
+            record_ok &= bool(np.array_equal(np.sort(cols), np.arange(n)))
+            dense = np.zeros((n, n), dtype=complex)
+            dense[np.arange(n), cols] = ramp
+            oracle = path_time_matrix(scenario, path, cp_phase_function(spec))
+            record_ok &= float(np.max(np.abs(dense - oracle))) <= 1e-12
     full_cycle = np.max(np.abs(np.linalg.matrix_power(cyclic_shift_matrix(n, 1), n)
                                - np.eye(n)))
-    report(4, "shift/Doppler/prefix factors and transforms unitary",
-           worst <= UNITARY_TOL and full_cycle == 0.0,
+    report(4, "shift/Doppler/prefix factors, transforms and time record unitary",
+           worst <= UNITARY_TOL and full_cycle == 0.0 and record_ok,
            f"worst defect {worst:.2e}")
 
 

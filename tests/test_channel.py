@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from fimsim import (ChannelScenario, FimGeometry, PathAngles, PropagationPath,
-                    ScenarioParams, assemble_effective_td, cp_phase_matrix,
-                    cyclic_shift_matrix, doppler_matrix, path_time_matrix,
-                    random_scenario)
+                    ScenarioParams, assemble_effective_td, random_scenario)
 
-from helpers import (oracle_received, oracle_td_channel, path_outer_matrix,
-                     small_scenario)
+from helpers import (cp_phase_matrix, cyclic_shift_matrix, doppler_matrix,
+                     oracle_received, oracle_td_channel, path_outer_matrix,
+                     path_time_matrix, small_scenario)
 
 
 def unit_geom(bx=1, bz=1):

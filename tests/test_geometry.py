@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from fimsim import (FimGeometry, PathAngles, element_positions, project_surface,
-                    random_surface, steering_derivative, steering_matrix,
-                    steering_vector)
+                    random_surface, steering_matrix, steering_vector)
 
-from helpers import oracle_steering
+from helpers import oracle_steering, steering_derivative
 
 
 def make_geom(bx, bz, wavelength=1.0, y_min=-1.0, y_max=1.0):

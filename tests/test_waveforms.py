@@ -10,7 +10,7 @@ from fimsim import (AFDM, OFDM, OTFS, ChannelScenario, achievable_rate,
                     default_afdm, default_otfs, demodulate, dft_matrix,
                     domain_transform, effective_channel, modulate,
                     random_frame, random_surface, transmit_receive,
-                    waveform_for)
+                    waveform_factors, waveform_for)
 
 from helpers import oracle_td_channel, small_scenario
 
@@ -37,6 +37,19 @@ class TestDomainTransform:
     def test_unknown_spec_rejected(self):
         with pytest.raises(TypeError):
             domain_transform("ofdm")
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(spec=st.one_of(
+        st.builds(OFDM, st.integers(1, 64)),
+        st.builds(OTFS, st.integers(1, 8), st.integers(1, 8)),
+        st.builds(AFDM, st.integers(1, 64),
+                  st.floats(0.0, 10.0, allow_nan=False),
+                  st.floats(-10.0, 10.0, allow_nan=False))))
+    def test_property_unitary(self, spec):
+        w = domain_transform(spec)
+        n = spec.block_length
+        assert w.shape == (n, n)
+        assert np.max(np.abs(w @ w.conj().T - np.eye(n))) <= 1e-12
 
 
 class TestModulateDemodulate:
@@ -186,6 +199,21 @@ class TestEffectiveChannel:
         rates = [achievable_rate(effective_channel(s, scenario, y_t, y_r), 0.05)
                  for s in specs.values()]
         assert max(rates) - min(rates) <= 1e-9 * max(rates)
+
+
+class TestAfdmPrefixParity:
+    @pytest.mark.parametrize("block_length, sign", [(8, 1.0), (9, -1.0)])
+    def test_wrapped_ramp_entries_flip_at_odd_length(self, block_length, sign):
+        # with the Doppler-matched c1 the AFDM prefix phase is an integer at
+        # even N (cyclic prefix, as OFDM) and a half-odd integer at odd N
+        # (anti-cyclic): the first tap ramp entries are -1 times OFDM's
+        scenario = small_scenario(seed=4, block_length=block_length, num_paths=5)
+        ofdm = waveform_factors(OFDM(block_length), scenario)
+        afdm = waveform_factors(default_afdm(scenario), scenario)
+        assert np.array_equal(afdm.taps, ofdm.taps) and afdm.taps.max() > 0
+        for tap, r_afdm, r_ofdm in zip(ofdm.taps, afdm.ramps, ofdm.ramps):
+            assert np.max(np.abs(r_afdm[:tap] - sign * r_ofdm[:tap])) <= 1e-12
+            assert np.array_equal(r_afdm[tap:], r_ofdm[tap:])
 
 
 class TestAfdmC1:
