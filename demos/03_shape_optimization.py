@@ -15,8 +15,9 @@ from fimsim import (OFDM, OptimizerConfig, ScenarioParams, achievable_rate,
                     effective_channel, optimize, random_scenario,
                     random_surface)
 
-params = ScenarioParams(block_length=16, num_paths=2, noise_var=0.025)
+params = ScenarioParams(block_length=16, num_paths=2)
 scenario = random_scenario(params, 5)
+noise_var = 0.025
 spec = OFDM(16)
 
 flat_t = scenario.tx_geometry.flat_surface()
@@ -25,11 +26,11 @@ rand_t = random_surface(scenario.tx_geometry, 11)
 rand_r = random_surface(scenario.rx_geometry, 12)
 
 rate_flat = achievable_rate(effective_channel(spec, scenario, flat_t, flat_r),
-                            scenario.noise_var)
+                            noise_var)
 rate_rand = achievable_rate(effective_channel(spec, scenario, rand_t, rand_r),
-                            scenario.noise_var)
+                            noise_var)
 
-config = OptimizerConfig(max_iters=60)
+config = OptimizerConfig(noise_var=noise_var, max_iters=60)
 result = optimize(scenario, spec, config, init_tx=rand_t, init_rx=rand_r)
 rate_opt = result.rate_trace[-1]
 

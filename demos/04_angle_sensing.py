@@ -1,7 +1,7 @@
 """Bistatic 2D angle estimation from one received frame.
 
-The receiver knows nothing about the transmitted symbols.  It unstacks
-the received frame into streams, eigen-decomposes the stream covariance,
+The receiver knows nothing about the transmitted symbols.  It takes the
+received frame one row per stream, eigen-decomposes the stream covariance,
 and scans the steering manifold of its own (morphed) array against the
 noise subspace.  With optimized surfaces the two scatterers produce
 sharp, correctly placed peaks; rigid flat surfaces suffer the mirror

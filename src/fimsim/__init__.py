@@ -20,7 +20,7 @@ from .harness import (ExperimentConfig, MusicResult, OptimizeOnceResult,
                       parse_config_file, run_music_experiment,
                       run_optimize_once, run_rate_sweep)
 from .music import (MusicGrid, default_grid, extract_peaks, music_spectrum,
-                    noise_subspace, rx_covariance, unvec_frame)
+                    noise_subspace, rx_covariance)
 from .optimizer import (OptimizerConfig, OptimizerResult, achievable_rate,
                         channel_power, objective_gradient, optimize,
                         penalized_objective, sensing_slack)

@@ -66,8 +66,6 @@ class ChannelScenario:
     cp_length: int            # prefix length in samples, bounds the delay taps
     tx_geometry: FimGeometry
     rx_geometry: FimGeometry
-    noise_var: float = 1.0
-    max_delay_s: float | None = None    # generation bound, if drawn randomly
     max_doppler_hz: float | None = None
 
     def __post_init__(self):
@@ -78,8 +76,6 @@ class ChannelScenario:
             raise ValueError("block length and sampling rate must be positive")
         if self.cp_length < 0:
             raise ValueError("prefix length must be nonnegative")
-        if self.noise_var < 0.0:
-            raise ValueError("noise variance must be nonnegative")
         for p in self.paths:
             tap = p.delay_taps(self.sampling_rate_hz)
             if tap > self.cp_length:
@@ -200,7 +196,6 @@ class ScenarioParams:
     max_velocity_mps: float = 208.0
     y_min_m: float | None = None        # default: -wavelength
     y_max_m: float | None = None        # default: +wavelength
-    noise_var: float = 1.0
 
     def __post_init__(self):
         if self.carrier_frequency_hz <= 0 or self.sampling_rate_hz <= 0:
@@ -212,12 +207,15 @@ class ScenarioParams:
             raise ValueError("element counts must be >= 1")
         if self.max_range_m < 0 or self.max_velocity_mps < 0:
             raise ValueError("range and velocity bounds must be nonnegative")
-        if self.noise_var < 0:
-            raise ValueError("noise variance must be nonnegative")
 
     @property
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_frequency_hz
+
+    @property
+    def num_streams(self) -> int:
+        return min(self.tx_elements_x * self.tx_elements_z,
+                   self.rx_elements_x * self.rx_elements_z)
 
     @property
     def max_delay_s(self) -> float:
@@ -268,6 +266,4 @@ def random_scenario(params: ScenarioParams, rng) -> ChannelScenario:
                            cp_length=params.max_delay_taps,
                            tx_geometry=params.tx_geometry(),
                            rx_geometry=params.rx_geometry(),
-                           noise_var=params.noise_var,
-                           max_delay_s=params.max_delay_s,
                            max_doppler_hz=params.max_doppler_hz)

@@ -26,10 +26,10 @@ from ._version import __version__
 from .channel import ScenarioParams, random_scenario
 from .geometry import random_surface
 from .music import (default_grid, extract_peaks, music_spectrum, noise_subspace,
-                    rx_covariance, unvec_frame)
+                    rx_covariance)
 from .optimizer import OptimizerConfig, OptimizerResult, achievable_rate, optimize
-from .waveforms import (default_otfs, random_frame, transmit_receive,
-                        waveform_factors, waveform_for)
+from .waveforms import (cp_phase_function, default_otfs, random_frame,
+                        transmit_receive, waveform_factors, waveform_for)
 
 __all__ = [
     "ExperimentConfig",
@@ -52,21 +52,14 @@ SNR_DEFINITION = ("sigma_w^2 = symbol_energy * block_length * num_streams"
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved experiment configuration; field names carry their units."""
+class ExperimentConfig(ScenarioParams):
+    """Resolved experiment configuration; field names carry their units.
 
-    carrier_frequency_hz: float = 28e9
-    sampling_rate_hz: float = 20e6
-    block_length: int = 16
-    num_paths: int = 2
-    tx_elements_x: int = 2
-    tx_elements_z: int = 2
-    rx_elements_x: int = 2
-    rx_elements_z: int = 2
-    max_range_m: float = 120.0
-    max_velocity_mps: float = 208.0
-    y_min_m: float | None = None
-    y_max_m: float | None = None
+    The scenario fields are inherited from ``ScenarioParams``, so a config
+    is passed to ``random_scenario`` as it is.  The noise variance is not
+    a field: each SNR point derives its own (``noise_var_for_snr``).
+    """
+
     waveforms: tuple = _WAVEFORM_NAMES
     fim_modes: tuple = _FIM_MODES
     snr_db: tuple = (0.0, 5.0, 10.0, 15.0, 20.0)
@@ -83,6 +76,7 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "waveforms", tuple(str(w).lower() for w in self.waveforms))
         object.__setattr__(self, "fim_modes", tuple(str(m).lower() for m in self.fim_modes))
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
@@ -103,35 +97,15 @@ class ExperimentConfig:
                 raise ValueError(f"{key} repeats an entry: {getattr(self, key)}")
         if "otfs" in self.waveforms:
             default_otfs(self.block_length)   # rejects a non-square block length
-        max_taps = self.scenario_params().max_delay_taps
-        if max_taps >= self.block_length:
-            raise ValueError(f"largest delay tap {max_taps} must be below the "
+        if self.max_delay_taps >= self.block_length:
+            raise ValueError(f"largest delay tap {self.max_delay_taps} must be below the "
                              f"block length {self.block_length}")
         if self.optimizer_iters < 1:
             raise ValueError("optimizer_iters must be >= 1")
         if self.music_grid_step_deg <= 0.0:
             raise ValueError("music_grid_step_deg must be positive")
-
-    @property
-    def num_streams(self) -> int:
-        return min(self.tx_elements_x * self.tx_elements_z,
-                   self.rx_elements_x * self.rx_elements_z)
-
-    def scenario_params(self, noise_var: float = 1.0) -> ScenarioParams:
-        return ScenarioParams(
-            carrier_frequency_hz=self.carrier_frequency_hz,
-            sampling_rate_hz=self.sampling_rate_hz,
-            block_length=self.block_length,
-            num_paths=self.num_paths,
-            tx_elements_x=self.tx_elements_x,
-            tx_elements_z=self.tx_elements_z,
-            rx_elements_x=self.rx_elements_x,
-            rx_elements_z=self.rx_elements_z,
-            max_range_m=self.max_range_m,
-            max_velocity_mps=self.max_velocity_mps,
-            y_min_m=self.y_min_m,
-            y_max_m=self.y_max_m,
-            noise_var=noise_var)
+        if not self.symbol_energy > 0.0:   # NaN included
+            raise ValueError("symbol_energy must be positive")
 
     def noise_var_for_snr(self, snr_db: float) -> float:
         """Noise variance realizing a nominal SNR against the expected
@@ -151,7 +125,6 @@ class ExperimentConfig:
         cfg["waveforms"] = list(self.waveforms)
         cfg["fim_modes"] = list(self.fim_modes)
         cfg["snr_db"] = list(self.snr_db)
-        params = self.scenario_params()
         return {
             "experiment": experiment,
             "config": cfg,
@@ -159,10 +132,10 @@ class ExperimentConfig:
             "version": __version__,
             "snr_definition": SNR_DEFINITION,
             "derived": {
-                "wavelength_m": params.wavelength,
-                "max_delay_s": params.max_delay_s,
-                "max_delay_taps": params.max_delay_taps,
-                "max_doppler_hz": params.max_doppler_hz,
+                "wavelength_m": self.wavelength,
+                "max_delay_s": self.max_delay_s,
+                "max_delay_taps": self.max_delay_taps,
+                "max_doppler_hz": self.max_doppler_hz,
                 "num_streams": self.num_streams,
             },
         }
@@ -204,18 +177,22 @@ def run_rate_sweep(config: ExperimentConfig) -> RateSweepResult:
     ``reuse_shapes`` the shapes optimized on the first realization (at the
     first SNR point) are reused everywhere after.
     """
-    params = config.scenario_params()
     trial_seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
     records = []
     reused = None
     for trial in range(config.trials):
         scen_rng, surf_rng = (np.random.default_rng(s)
                               for s in trial_seeds[trial].spawn(2))
-        scenario = random_scenario(params, scen_rng)
+        scenario = random_scenario(config, scen_rng)
         rand_pair = (random_surface(scenario.tx_geometry, surf_rng),
                      random_surface(scenario.rx_geometry, surf_rng))
         specs = {name: waveform_for(name, scenario) for name in config.waveforms}
-        factors = {name: waveform_factors(spec, scenario) for name, spec in specs.items()}
+        # OFDM and OTFS have no prefix phase and so share one record and one
+        # rate; a phased waveform (AFDM) keeps its own
+        record_of = {name: name if cp_phase_function(spec) is not None else None
+                     for name, spec in specs.items()}
+        factors = {record_of[name]: waveform_factors(spec, scenario)
+                   for name, spec in specs.items()}
         for snr in config.snr_db:
             noise_var = config.noise_var_for_snr(snr)
             optimized_pair = None
@@ -229,13 +206,17 @@ def run_rate_sweep(config: ExperimentConfig) -> RateSweepResult:
                     optimized_pair = (opt.tx_surface, opt.rx_surface)
                     if config.reuse_shapes:
                         reused = optimized_pair
+            rates = {}
             for name in config.waveforms:
                 for mode in config.fim_modes:
-                    y_t, y_r = _mode_surfaces(scenario, mode, rand_pair, optimized_pair)
-                    rate = achievable_rate(factors[name].matrix(y_t, y_r), noise_var)
+                    key = (record_of[name], mode)
+                    if key not in rates:
+                        y_t, y_r = _mode_surfaces(scenario, mode, rand_pair, optimized_pair)
+                        rates[key] = achievable_rate(
+                            factors[record_of[name]].matrix(y_t, y_r), noise_var)
                     records.append({"waveform": name, "fim_mode": mode,
                                     "snr_db": float(snr), "trial": trial,
-                                    "rate_bits": rate})
+                                    "rate_bits": rates[key]})
     return RateSweepResult(records=records, summary=summarize_rates(records),
                            metadata=config.metadata("rate_sweep"))
 
@@ -292,9 +273,8 @@ def run_music_experiment(config: ExperimentConfig) -> MusicResult:
         raise ValueError("sensing requires fewer targets than streams")
     noise_var = (0.0 if config.music_snr_db is None
                  else config.noise_var_for_snr(config.music_snr_db))
-    params = config.scenario_params(noise_var=noise_var)
     seeds = np.random.SeedSequence(config.seed).spawn(3)
-    scenario = random_scenario(params, np.random.default_rng(seeds[0]))
+    scenario = random_scenario(config, np.random.default_rng(seeds[0]))
     surf_rng = np.random.default_rng(seeds[1])
     combo_seeds = seeds[2].spawn(len(config.fim_modes) * len(config.waveforms))
 
@@ -321,9 +301,9 @@ def run_music_experiment(config: ExperimentConfig) -> MusicResult:
             combo_idx += 1
             spec = waveform_for(name, scenario)
             frame = random_frame(scenario.block_length, scenario.num_streams, frame_rng)
-            received = transmit_receive(spec, scenario, y_t, y_r, frame, noise_rng)
-            y_mat = unvec_frame(received, scenario.block_length, scenario.num_streams)
-            basis = noise_subspace(rx_covariance(y_mat), scenario.num_paths)
+            received = transmit_receive(spec, scenario, y_t, y_r, frame, noise_var,
+                                        noise_rng)
+            basis = noise_subspace(rx_covariance(received), scenario.num_paths)
             grid = music_spectrum(basis, scenario.rx_geometry, y_r, azimuth, elevation)
             grid.peaks = extract_peaks(grid, scenario.num_paths)
             grids[(mode, name)] = grid
@@ -345,9 +325,8 @@ def run_music_experiment(config: ExperimentConfig) -> MusicResult:
 def run_optimize_once(config: ExperimentConfig) -> OptimizeOnceResult:
     """Optimize the surfaces of one seeded realization and report traces."""
     noise_var = config.noise_var_for_snr(config.optimizer_snr_db)
-    params = config.scenario_params(noise_var=noise_var)
     seeds = np.random.SeedSequence(config.seed).spawn(2)
-    scenario = random_scenario(params, np.random.default_rng(seeds[0]))
+    scenario = random_scenario(config, np.random.default_rng(seeds[0]))
     spec = waveform_for(config.waveforms[0], scenario)
     result = optimize(scenario, spec, config.optimizer_config(noise_var),
                       rng=np.random.default_rng(seeds[1]))

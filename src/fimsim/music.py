@@ -1,9 +1,9 @@
 """Bistatic 2D angle estimation from received frames via subspace scanning.
 
-The receiver sees one frame of stacked per-stream samples, forms the
-stream-by-stream covariance, splits off the noise subspace, and scans the
-receive-array steering manifold over an azimuth/elevation grid: the
-pseudo-spectrum is the reciprocal of the projection of each candidate
+The receiver sees one frame as a (d_s, N) matrix of per-stream samples,
+forms the stream-by-stream covariance, splits off the noise subspace, and
+scans the receive-array steering manifold over an azimuth/elevation grid:
+the pseudo-spectrum is the reciprocal of the projection of each candidate
 steering vector onto the noise subspace.
 """
 
@@ -19,7 +19,6 @@ from .geometry import FimGeometry, steering_matrix
 __all__ = [
     "MusicGrid",
     "default_grid",
-    "unvec_frame",
     "rx_covariance",
     "noise_subspace",
     "music_spectrum",
@@ -51,19 +50,6 @@ def default_grid(step_deg: float = 1.0):
     azimuth = np.deg2rad(np.arange(-90.0, 90.0 + step_deg / 2, step_deg))
     elevation = np.deg2rad(np.arange(0.0, 180.0 + step_deg / 2, step_deg))
     return azimuth, elevation
-
-
-def unvec_frame(y_bar, block_length: int, num_streams: int) -> np.ndarray:
-    """Unstack a received frame into a (num_streams, block_length) matrix.
-
-    The stacked vector holds the streams back to back; row v of the
-    result is stream v's sample sequence.
-    """
-    y = np.asarray(y_bar)
-    if y.shape != (block_length * num_streams,):
-        raise ValueError(
-            f"frame has shape {y.shape}, expected ({block_length * num_streams},)")
-    return y.reshape(block_length, num_streams, order="F").T
 
 
 def rx_covariance(y_mat) -> np.ndarray:

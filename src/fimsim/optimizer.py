@@ -62,18 +62,21 @@ MIN_STEP_NORM = 1e-10
 class OptimizerConfig:
     """Ascent parameters.
 
-    ``psi=None`` resolves to ``psi_fraction`` times the channel power of
-    the flat-surface baseline; ``noise_var=None`` falls back to the
-    scenario's.
+    ``noise_var`` is the sigma^2 of the objective and has no default: the
+    scenario carries no noise, so each ascent states the SNR point it
+    serves.  ``psi=None`` resolves to ``psi_fraction`` times the channel
+    power of the flat-surface baseline.
     """
 
+    noise_var: float
     beta: float = 2.0
     psi: float | None = None
     psi_fraction: float = 0.8
     max_iters: int = 100
-    noise_var: float | None = None
 
     def __post_init__(self):
+        if not self.noise_var > 0.0:       # NaN included
+            raise ValueError("noise variance must be positive")
         if self.beta < 0.0:
             raise ValueError("beta must be nonnegative")
         if self.psi is not None and self.psi < 0.0:
@@ -178,7 +181,7 @@ def objective_gradient(spec, scenario: ChannelScenario, tx_surface, rx_surface,
     return _adjoint_gradient(factors, tx_surface, rx_surface, h, noise_var, penalty)
 
 
-def optimize(scenario: ChannelScenario, spec, config: OptimizerConfig = OptimizerConfig(),
+def optimize(scenario: ChannelScenario, spec, config: OptimizerConfig,
              init_tx=None, init_rx=None, rng=None) -> OptimizerResult:
     """Projected gradient ascent on both surface shapes.
 
@@ -205,10 +208,7 @@ def optimize(scenario: ChannelScenario, spec, config: OptimizerConfig = Optimize
     y_t = validate_surface(tx_geom, init_tx, check_bounds=True).copy()
     y_r = validate_surface(rx_geom, init_rx, check_bounds=True).copy()
 
-    noise_var = config.noise_var if config.noise_var is not None else scenario.noise_var
-    if noise_var <= 0.0:
-        raise ValueError("optimizer objective requires a positive noise variance")
-
+    noise_var = config.noise_var
     factors = waveform_factors(spec, scenario)
     if config.psi is not None:
         psi = config.psi

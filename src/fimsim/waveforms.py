@@ -190,14 +190,18 @@ def random_frame(block_length: int, num_streams: int, rng) -> np.ndarray:
 
 
 def transmit_receive(spec, scenario: ChannelScenario, tx_surface, rx_surface,
-                     frame, rng) -> np.ndarray:
-    """Demodulated receive vector: effective channel times the frame plus
-    circularly-symmetric Gaussian noise of the scenario's variance."""
+                     frame, noise_var: float, rng) -> np.ndarray:
+    """Demodulated receive frame as a (d_s, N) matrix, row v holding stream
+    v: the effective channel times the stacked frame plus circularly
+    symmetric Gaussian noise of variance ``noise_var`` (zero for a
+    noise-free frame; the noise is drawn either way)."""
     x = np.asarray(frame, dtype=complex)
     h = effective_channel(spec, scenario, tx_surface, rx_surface)
     if x.shape != (h.shape[0],):
         raise ValueError(f"frame length {x.shape} does not match channel {h.shape}")
+    if noise_var < 0.0:
+        raise ValueError("noise variance must be nonnegative")
     rng = np.random.default_rng(rng)
-    scale = np.sqrt(scenario.noise_var / 2.0)
+    scale = np.sqrt(noise_var / 2.0)
     noise = scale * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
-    return h @ x + noise
+    return (h @ x + noise).reshape(scenario.num_streams, scenario.block_length)

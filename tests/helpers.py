@@ -7,7 +7,9 @@ path's N x N time response as a product of a prefix-phase diagonal, a
 Doppler diagonal and a cyclic shift, the form the library's monomial
 record replaces.  The dense gradient oracle forms each element's full
 channel derivative and solves against it separately, the per-element
-route that the library's adjoint gradient replaces.
+route that the library's adjoint gradient replaces.  ``unvec_frame`` is
+the layout oracle of a stacked frame, which ``transmit_receive`` returns
+already unstacked.
 """
 
 import numpy as np
@@ -143,6 +145,19 @@ def oracle_received(scenario, tx_surface, rx_surface, stacked_input, phase_fn=No
                     out[v * n + k] += (gain * prefix * np.exp(-2j * np.pi * f * k / n)
                                        * s[u * n + (k - ell) % n])
     return out
+
+
+def unvec_frame(y_bar, block_length: int, num_streams: int) -> np.ndarray:
+    """Unstack a received frame into a (num_streams, block_length) matrix.
+
+    The stacked vector holds the streams back to back; row v of the
+    result is stream v's sample sequence.
+    """
+    y = np.asarray(y_bar)
+    if y.shape != (block_length * num_streams,):
+        raise ValueError(
+            f"frame has shape {y.shape}, expected ({block_length * num_streams},)")
+    return y.reshape(block_length, num_streams, order="F").T
 
 
 def oracle_td_channel(scenario, tx_surface, rx_surface, phase_fn=None):

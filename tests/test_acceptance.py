@@ -176,7 +176,6 @@ def test_criterion_5_ascent_and_ordering():
     config = ExperimentConfig(snr_db=(10.0,), trials=ASCENT_TRIALS, seed=42,
                               optimizer_iters=30)
     noise_var = config.noise_var_for_snr(10.0)
-    params = config.scenario_params(noise_var=noise_var)
     trial_seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
     flat_rates, random_rates, optimized_rates = [], [], []
     all_monotone = True
@@ -184,7 +183,7 @@ def test_criterion_5_ascent_and_ordering():
     for trial in range(config.trials):
         scen_rng, surf_rng = (np.random.default_rng(s)
                               for s in trial_seeds[trial].spawn(2))
-        scenario = random_scenario(params, scen_rng)
+        scenario = random_scenario(config, scen_rng)
         spec = waveform_for("ofdm", scenario)
         y_rand_t = random_surface(scenario.tx_geometry, surf_rng)
         y_rand_r = random_surface(scenario.rx_geometry, surf_rng)

@@ -104,6 +104,16 @@ class TestFailures:
         assert "perfect square" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nonpositive_symbol_energy_fails_before_any_work(self, tmp_path, capsys):
+        # a zero symbol energy would make every noise variance zero
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("symbol_energy = 0\n")
+        out = tmp_path / "out"
+        code = main(["rate-sweep", "--config", str(bad), "--out", str(out)])
+        assert code == 2
+        assert "symbol_energy" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_list_entry_fails_before_any_work(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(FAST_CFG + "waveforms = ofdm, ofdm\nsnr_db = 10, 10\n")

@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fimsim import (ExperimentConfig, MusicGrid, MusicResult, RateSweepResult,
                     config_from_file, default_grid, emit_results,
                     parse_config_file, run_music_experiment, run_optimize_once,
                     run_rate_sweep)
+from fimsim import harness
 from fimsim.harness import summarize_rates
 
 from helpers import oracle_csv_text
@@ -36,9 +38,8 @@ class TestConfig:
         assert config.carrier_frequency_hz == 28e9
         assert config.sampling_rate_hz == 20e6
         assert config.num_streams == 4
-        params = config.scenario_params()
-        assert params.max_delay_taps == 8
-        assert abs(params.max_doppler_hz - 19413.33) < 20
+        assert config.max_delay_taps == 8
+        assert abs(config.max_doppler_hz - 19413.33) < 20
 
     def test_noise_monotone_in_snr(self):
         config = ExperimentConfig()
@@ -62,6 +63,9 @@ class TestConfig:
         dict(optimizer_iters=0),
         dict(music_grid_step_deg=0.0),
         dict(music_grid_step_deg=-1.0),
+        dict(symbol_energy=0.0),                       # zero noise variance
+        dict(symbol_energy=-1.0),
+        dict(symbol_energy=float("nan")),              # would write NaN rates
     ])
     def test_rejects_configs_that_would_fail_mid_run(self, values):
         with pytest.raises(ValueError):
@@ -120,6 +124,27 @@ class TestRateSweep:
     def test_deterministic_records(self, rate_result):
         again = run_rate_sweep(TINY_RATE)
         assert again.records == rate_result.records
+
+    def test_one_rate_per_prefix_phase(self, monkeypatch):
+        # OFDM and OTFS share the phase-free record and so one rate; AFDM
+        # keeps its own, although at even N its phase is an integer
+        calls = []
+        rate = harness.achievable_rate
+
+        def counted(h, noise_var):
+            calls.append(h.shape)
+            return rate(h, noise_var)
+
+        monkeypatch.setattr(harness, "achievable_rate", counted)
+        config = ExperimentConfig(snr_db=(0.0, 10.0), trials=2, seed=3,
+                                  optimizer_iters=2)
+        records = run_rate_sweep(config).records
+        assert len(calls) == 2 * config.trials * len(config.snr_db) * len(config.fim_modes)
+        by_key = {(r["waveform"], r["fim_mode"], r["snr_db"], r["trial"]):
+                  r["rate_bits"] for r in records}
+        for (name, mode, snr, trial), value in by_key.items():
+            if name == "otfs":
+                assert value == by_key[("ofdm", mode, snr, trial)]
 
     def test_reuse_shapes_runs(self):
         config = ExperimentConfig(snr_db=(10.0,), trials=2, seed=3,
@@ -390,6 +415,39 @@ music_snr_db = none
         path.write_text("block_length 16\n")
         with pytest.raises(ValueError):
             parse_config_file(path)
+
+    NON_DEFAULT = ExperimentConfig(
+        carrier_frequency_hz=30e9, sampling_rate_hz=25e6, block_length=25,
+        num_paths=3, tx_elements_x=3, tx_elements_z=1, rx_elements_x=1,
+        rx_elements_z=4, max_range_m=100.0, max_velocity_mps=150.0,
+        y_min_m=-0.005, y_max_m=0.004, waveforms=("afdm", "otfs"),
+        fim_modes=("optimized", "none"), snr_db=(-5.0, 12.5), trials=4, seed=11,
+        reuse_shapes=True, beta=1.5, psi_fraction=0.6, optimizer_iters=7,
+        optimizer_snr_db=3.0, music_grid_step_deg=2.5, music_snr_db=10.0,
+        symbol_energy=2.0, out_dir="elsewhere")
+
+    @pytest.mark.parametrize("config", [ExperimentConfig(), NON_DEFAULT],
+                             ids=["default", "non-default"])
+    def test_metadata_config_round_trips(self, tmp_path, config):
+        # the recorded config, written back as a config file, rebuilds the
+        # same config, the inherited scenario fields included
+        recorded = config.metadata("rate_sweep")["config"]
+        assert set(recorded) == {f.name for f in fields(ExperimentConfig)}
+
+        def text(value):
+            if value is None:
+                return "none"
+            if isinstance(value, list):
+                return ", ".join(map(str, value))
+            return str(value)
+
+        path = tmp_path / "exp.cfg"
+        path.write_text("".join(f"{k} = {text(v)}\n" for k, v in recorded.items()))
+        assert config_from_file(path) == config
+
+    def test_non_default_config_sets_every_field(self):
+        for f in fields(ExperimentConfig):
+            assert getattr(self.NON_DEFAULT, f.name) != f.default, f.name
 
     def test_bad_boolean_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"

@@ -6,20 +6,20 @@ import pytest
 from fimsim import (MusicGrid, MusicResult, OFDM, default_grid, emit_results,
                     extract_peaks, music_spectrum, noise_subspace, random_frame,
                     random_surface, rx_covariance, steering_vector,
-                    transmit_receive, unvec_frame)
+                    transmit_receive)
 from fimsim.geometry import PathAngles
 
-from helpers import small_scenario
+from helpers import small_scenario, unvec_frame
 
 
 def sensing_setup(seed, num_paths=1, surface_seed=101, **params):
     """Noise-free receive frame through a random scenario plus its pieces."""
     scenario = small_scenario(seed=seed, block_length=16, num_paths=num_paths,
-                              noise_var=0.0, **params)
+                              **params)
     y_r = random_surface(scenario.rx_geometry, surface_seed)
     y_t = random_surface(scenario.tx_geometry, surface_seed + 1)
     frame = random_frame(scenario.block_length, scenario.num_streams, seed + 500)
-    received = transmit_receive(OFDM(16), scenario, y_t, y_r, frame, 0)
+    received = transmit_receive(OFDM(16), scenario, y_t, y_r, frame, 0.0, 0)
     return scenario, y_t, y_r, received
 
 
@@ -76,8 +76,7 @@ class TestNoiseSubspace:
             noise_subspace(np.eye(4), 0)
 
     def test_noise_free_single_path_orthogonality(self):
-        scenario, y_t, y_r, received = sensing_setup(seed=40)
-        mat = unvec_frame(received, 16, 4)
+        scenario, y_t, y_r, mat = sensing_setup(seed=40)
         basis = noise_subspace(rx_covariance(mat), 1)
         truth = scenario.paths[0].angles_in
         b_true = steering_vector(scenario.rx_geometry, y_r, truth)
@@ -86,8 +85,7 @@ class TestNoiseSubspace:
 
 class TestMusicSpectrum:
     def test_peak_at_true_angle(self):
-        scenario, y_t, y_r, received = sensing_setup(seed=41)
-        mat = unvec_frame(received, 16, 4)
+        scenario, y_t, y_r, mat = sensing_setup(seed=41)
         basis = noise_subspace(rx_covariance(mat), 1)
         az, el = default_grid(1.0)
         grid = music_spectrum(basis, scenario.rx_geometry, y_r, az, el)
@@ -101,7 +99,7 @@ class TestMusicSpectrum:
         # first four receive elements, so the scan uses those entries
         scenario, y_t, y_r, received = sensing_setup(seed=41, rx_elements_x=3,
                                                      rx_elements_z=2)
-        basis = noise_subspace(rx_covariance(unvec_frame(received, 16, 4)), 1)
+        basis = noise_subspace(rx_covariance(received), 1)
         assert basis.shape == (4, 3)
         az, el = default_grid(1.0)
         grid = music_spectrum(basis, scenario.rx_geometry, y_r, az, el)
@@ -117,8 +115,7 @@ class TestMusicSpectrum:
 
     def test_matches_pointwise_oracle(self):
         # loop over a coarse grid evaluating the projection longhand
-        scenario, y_t, y_r, received = sensing_setup(seed=42)
-        mat = unvec_frame(received, 16, 4)
+        scenario, y_t, y_r, mat = sensing_setup(seed=42)
         basis = noise_subspace(rx_covariance(mat), 1)
         az = np.deg2rad(np.arange(-90.0, 91.0, 15.0))
         el = np.deg2rad(np.arange(0.0, 181.0, 15.0))
@@ -132,8 +129,7 @@ class TestMusicSpectrum:
         assert np.allclose(grid.values, raw / raw.max(), rtol=1e-10)
 
     def test_peak_separation_noise_free(self):
-        scenario, y_t, y_r, received = sensing_setup(seed=43, num_paths=2)
-        mat = unvec_frame(received, 16, 4)
+        scenario, y_t, y_r, mat = sensing_setup(seed=43, num_paths=2)
         basis = noise_subspace(rx_covariance(mat), 2)
         proj = basis @ basis.conj().T
         for path in scenario.paths:
@@ -147,8 +143,7 @@ class TestMusicSpectrum:
         assert np.median(mat_b.sum(axis=0)) > 1e-2
 
     def test_scalar_invariance(self):
-        scenario, y_t, y_r, received = sensing_setup(seed=44)
-        mat = unvec_frame(received, 16, 4)
+        scenario, y_t, y_r, mat = sensing_setup(seed=44)
         az, el = default_grid(5.0)
         g1 = music_spectrum(noise_subspace(rx_covariance(mat), 1),
                             scenario.rx_geometry, y_r, az, el)
@@ -178,8 +173,7 @@ class TestMusicSpectrum:
                        for az_p, el_p in found)
 
     def test_unitary_remix_invariance(self, rng):
-        scenario, y_t, y_r, received = sensing_setup(seed=45, num_paths=2)
-        mat = unvec_frame(received, 16, 4)
+        scenario, y_t, y_r, mat = sensing_setup(seed=45, num_paths=2)
         basis = noise_subspace(rx_covariance(mat), 2)
         q, _ = np.linalg.qr(rng.standard_normal((2, 2))
                             + 1j * rng.standard_normal((2, 2)))
@@ -236,8 +230,7 @@ class TestExtractPeaks:
 
 class TestGridCsv:
     def test_round_trippable_format(self, tmp_path):
-        scenario, y_t, y_r, received = sensing_setup(seed=46)
-        mat = unvec_frame(received, 16, 4)
+        scenario, y_t, y_r, mat = sensing_setup(seed=46)
         basis = noise_subspace(rx_covariance(mat), 1)
         az, el = default_grid(30.0)
         grid = music_spectrum(basis, scenario.rx_geometry, y_r, az, el)

@@ -377,18 +377,17 @@ class TestOptimize:
                                    sampling_rate_hz=scenario.sampling_rate_hz,
                                    cp_length=scenario.cp_length,
                                    tx_geometry=scenario.tx_geometry,
-                                   rx_geometry=scenario.rx_geometry,
-                                   noise_var=0.1)
+                                   rx_geometry=scenario.rx_geometry)
         init = np.full(4, 0.001)
-        config = OptimizerConfig(beta=0.0, max_iters=10)
+        config = OptimizerConfig(noise_var=0.1, beta=0.0, max_iters=10)
         result = optimize(scenario, OFDM(8), config, init_tx=init, init_rx=init)
         assert result.iterations_run <= 1
         assert np.array_equal(result.tx_surface, init)
         assert result.stop_reason == "zero gradient"
 
     def test_ascent_on_random_scenario(self, rng):
-        scenario = small_scenario(seed=31, noise_var=0.05)
-        config = OptimizerConfig(max_iters=40)
+        scenario = small_scenario(seed=31)
+        config = OptimizerConfig(noise_var=0.05, max_iters=40)
         result = optimize(scenario, OFDM(8), config, rng=rng)
         trace = result.objective_trace
         assert np.all(np.diff(trace) >= 0.0)
@@ -396,18 +395,19 @@ class TestOptimize:
         assert result.iterations_run >= 1
 
     def test_iterates_respect_bounds(self, rng):
-        scenario = small_scenario(seed=32, noise_var=0.05)
-        result = optimize(scenario, OFDM(8), OptimizerConfig(max_iters=25), rng=rng)
+        scenario = small_scenario(seed=32)
+        result = optimize(scenario, OFDM(8), OptimizerConfig(noise_var=0.05, max_iters=25),
+                          rng=rng)
         geom = scenario.tx_geometry
         for surf in (result.tx_surface, result.rx_surface):
             assert np.all(surf >= geom.y_min) and np.all(surf <= geom.y_max)
 
     def test_waveform_invariant_trajectory(self):
-        scenario = small_scenario(seed=33, block_length=16, noise_var=0.05)
+        scenario = small_scenario(seed=33, block_length=16)
         lam = scenario.tx_geometry.wavelength
         init_t = random_surface(scenario.tx_geometry, 77)
         init_r = random_surface(scenario.rx_geometry, 78)
-        config = OptimizerConfig(max_iters=15)
+        config = OptimizerConfig(noise_var=0.05, max_iters=15)
         traces = []
         for name in ("ofdm", "otfs", "afdm"):
             res = optimize(scenario, waveform_for(name, scenario), config,
@@ -418,22 +418,22 @@ class TestOptimize:
             assert np.max(np.abs(other - traces[0])) < 1e-6 * abs(traces[0][-1])
 
     def test_explicit_psi_and_rate_traces(self, rng):
-        scenario = small_scenario(seed=34, noise_var=0.05)
-        config = OptimizerConfig(psi=5.0, max_iters=10)
+        scenario = small_scenario(seed=34)
+        config = OptimizerConfig(noise_var=0.05, psi=5.0, max_iters=10)
         result = optimize(scenario, OFDM(8), config, rng=rng)
         assert result.psi == 5.0
         assert len(result.rate_trace) == len(result.objective_trace)
         assert np.allclose(result.objective_trace,
                            result.rate_trace + config.beta * result.slack_trace)
 
-    def test_requires_positive_noise(self, rng):
-        scenario = small_scenario(seed=35, noise_var=0.0)
-        with pytest.raises(ValueError):
-            optimize(scenario, OFDM(8), OptimizerConfig(), rng=rng)
+    def test_requires_positive_noise(self):
+        for noise_var in (0.0, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                OptimizerConfig(noise_var=noise_var)
 
     def test_deterministic_given_rng_seed(self):
-        scenario = small_scenario(seed=37, noise_var=0.1)
-        config = OptimizerConfig(max_iters=8)
+        scenario = small_scenario(seed=37)
+        config = OptimizerConfig(noise_var=0.1, max_iters=8)
         a = optimize(scenario, OFDM(8), config, rng=5)
         b = optimize(scenario, OFDM(8), config, rng=5)
         assert np.array_equal(a.tx_surface, b.tx_surface)

@@ -12,7 +12,7 @@ from fimsim import (AFDM, OFDM, OTFS, ChannelScenario, achievable_rate,
                     random_frame, random_surface, transmit_receive,
                     waveform_factors, waveform_for)
 
-from helpers import oracle_td_channel, small_scenario
+from helpers import oracle_td_channel, small_scenario, unvec_frame
 
 ALL_SPECS = [OFDM(16), OTFS(4, 4), AFDM(16, c1=3 / 32, c2=0.01)]
 
@@ -247,31 +247,31 @@ class TestAfdmC1:
 
 class TestTransmitReceive:
     def test_noise_free_matches_channel(self, rng):
-        scenario = small_scenario(seed=12, noise_var=0.0)
+        scenario = small_scenario(seed=12)
         frame = random_frame(8, 4, rng)
         spec = OFDM(8)
-        y = transmit_receive(spec, scenario, np.zeros(4), np.zeros(4), frame, 99)
+        y = transmit_receive(spec, scenario, np.zeros(4), np.zeros(4), frame, 0.0, 99)
         h = effective_channel(spec, scenario, np.zeros(4), np.zeros(4))
-        assert np.array_equal(y, h @ frame)
+        assert np.array_equal(y, unvec_frame(h @ frame, 8, 4))
 
     def test_deterministic_per_seed(self, rng):
-        scenario = small_scenario(seed=13, noise_var=0.3)
+        scenario = small_scenario(seed=13)
         frame = random_frame(8, 4, rng)
-        args = (OFDM(8), scenario, np.zeros(4), np.zeros(4), frame)
+        args = (OFDM(8), scenario, np.zeros(4), np.zeros(4), frame, 0.3)
         assert np.array_equal(transmit_receive(*args, 7), transmit_receive(*args, 7))
         assert not np.array_equal(transmit_receive(*args, 7), transmit_receive(*args, 8))
 
     def test_noise_variance_empirical(self):
-        scenario = small_scenario(seed=14, noise_var=0.5)
+        scenario = small_scenario(seed=14)
         spec = OFDM(8)
         h = effective_channel(spec, scenario, np.zeros(4), np.zeros(4))
         frame = random_frame(8, 4, 0)
-        clean = h @ frame
+        clean = unvec_frame(h @ frame, 8, 4)
         rng = np.random.default_rng(1000)
         noise_samples = []
         for _ in range(320):
-            y = transmit_receive(spec, scenario, np.zeros(4), np.zeros(4), frame, rng)
-            noise_samples.append(y - clean)
+            y = transmit_receive(spec, scenario, np.zeros(4), np.zeros(4), frame, 0.5, rng)
+            noise_samples.append((y - clean).ravel())
         noise = np.concatenate(noise_samples)  # 10240 complex draws
         assert abs(np.mean(np.abs(noise) ** 2) - 0.5) < 0.05 * 0.5
 
@@ -279,7 +279,13 @@ class TestTransmitReceive:
         scenario = small_scenario(seed=15)
         with pytest.raises(ValueError):
             transmit_receive(OFDM(8), scenario, np.zeros(4), np.zeros(4),
-                             np.zeros(8), 0)
+                             np.zeros(8), 0.0, 0)
+
+    def test_negative_noise_variance_rejected(self):
+        scenario = small_scenario(seed=15)
+        with pytest.raises(ValueError):
+            transmit_receive(OFDM(8), scenario, np.zeros(4), np.zeros(4),
+                             random_frame(8, 4, 0), -0.1, 0)
 
 
 class TestRandomFrame:
