@@ -14,11 +14,12 @@ phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import FimGeometry, PathAngles, steering_matrix
+from .geometry import FimGeometry, PathAngles, steering_matrix, validate_surface
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -115,25 +116,32 @@ class ChannelFactors:
     leaves the rate, the channel power and the shape gradient unchanged,
     so the record holds no W.  Only the steering entries depend on the
     surface shapes, so a record is built once per scenario and prefix
-    phase and evaluated at any shapes.
+    phase and evaluated at any shapes: it caches each entry's fixed x/z
+    lattice phase (``lattice_tx``, ``lattice_rx``), which ``steering``
+    multiplies by exp(slope * y).  ``pair_blocks`` gives the shape-free
+    blocks the optimizer's path-space route works with.
     """
 
     def __init__(self, scenario: ChannelScenario, phase_fn=None):
         paths = scenario.paths
         tx, rx = scenario.tx_geometry, scenario.rx_geometry
-        n, fs = scenario.block_length, scenario.sampling_rate_hz
+        n, fs, d = scenario.block_length, scenario.sampling_rate_hz, scenario.num_streams
         self.scenario = scenario
         self.weights = (np.sqrt(tx.num_elements * rx.num_elements / scenario.num_paths)
                         * np.array([p.gain for p in paths]))
-        self.az_out = np.array([p.angles_out.azimuth for p in paths])
-        self.el_out = np.array([p.angles_out.elevation for p in paths])
-        self.az_in = np.array([p.angles_in.azimuth for p in paths])
-        self.el_in = np.array([p.angles_in.elevation for p in paths])
+        az_out = np.array([p.angles_out.azimuth for p in paths])
+        el_out = np.array([p.angles_out.elevation for p in paths])
+        az_in = np.array([p.angles_in.azimuth for p in paths])
+        el_in = np.array([p.angles_in.elevation for p in paths])
         # d(steering entry b)/d(y_b) = slope * (steering entry b), per path
         self.slope_tx = (1j * (2.0 * np.pi / tx.wavelength)
-                         * np.sin(self.az_out) * np.sin(self.el_out))
+                         * np.sin(az_out) * np.sin(el_out))
         self.slope_rx = (1j * (2.0 * np.pi / rx.wavelength)
-                         * np.sin(self.az_in) * np.sin(self.el_in))
+                         * np.sin(az_in) * np.sin(el_in))
+        # the first d_s steering entries at y = 0: each element's fixed x/z
+        # phase per path, times 1/sqrt(B)
+        self.lattice_tx = steering_matrix(tx, tx.flat_surface(), az_out, el_out)[:d]
+        self.lattice_rx = steering_matrix(rx, rx.flat_surface(), az_in, el_in)[:d]
         k = np.arange(n)
         self.taps = np.array([p.delay_taps(fs) for p in paths])
         self.columns = (k - self.taps[:, None]) % n
@@ -146,12 +154,32 @@ class ChannelFactors:
 
     def steering(self, tx_surface, rx_surface):
         """First d_s steering entries of every path as (d_s, P) columns,
-        transmit then receive."""
-        sc = self.scenario
-        d = sc.num_streams
-        a_t = steering_matrix(sc.tx_geometry, tx_surface, self.az_out, self.el_out)[:d]
-        a_r = steering_matrix(sc.rx_geometry, rx_surface, self.az_in, self.el_in)[:d]
+        transmit then receive: the lattice phase times exp(slope * y).
+        Surfaces are not validated here; ``matrix`` and the optimizer's
+        public entry points check them."""
+        d = self.scenario.num_streams
+        a_t = self.lattice_tx * np.exp(np.outer(tx_surface[:d], self.slope_tx))
+        a_r = self.lattice_rx * np.exp(np.outer(rx_surface[:d], self.slope_rx))
         return a_t, a_r
+
+    def pair_blocks(self) -> np.ndarray:
+        """Shape-free path-pair blocks ``D_pq = conj(w_p) w_q T_p^H T_q`` as
+        a (P, N, P, N) array.
+
+        ``T_p^H T_q`` is monomial: row i holds ``conj(ramps[p, k]) *
+        ramps[q, k]`` at column ``columns[q, k]``, where k = (i + taps[p])
+        mod N is the row of ``T_p`` whose entry sits in column i.
+        """
+        n, path = self.scenario.block_length, np.arange(self.scenario.num_paths)
+        rows = (np.arange(n) + self.taps[:, None]) % n          # rows[p, i]
+        ramp_at = self.ramps[:, rows].transpose(1, 0, 2)         # ramps[q, rows[p, i]]
+        own = ramp_at[path, path]                                # ramps[p, rows[p, i]]
+        values = (self.weights.conj()[:, None, None] * self.weights[None, :, None]
+                  * own.conj()[:, None, :] * ramp_at)
+        out = np.zeros((path.size, n, path.size, n), dtype=complex)
+        out[path[:, None, None], np.arange(n), path[None, :, None],
+            self.columns[:, rows].transpose(1, 0, 2)] = values
+        return out
 
     def matrix(self, tx_surface, rx_surface) -> np.ndarray:
         """Block channel at the given shapes: sum_p kron(spatial_p, T_p).
@@ -161,8 +189,11 @@ class ChannelFactors:
         Each path adds ``ramps[p, k] * spatial_p`` at sample rows k and
         columns ``columns[p, k]`` of every stream block.
         """
+        sc = self.scenario
+        tx_surface = validate_surface(sc.tx_geometry, tx_surface)
+        rx_surface = validate_surface(sc.rx_geometry, rx_surface)
         a_t, a_r = self.steering(tx_surface, rx_surface)
-        n, d = self.scenario.block_length, self.scenario.num_streams
+        n, d = sc.block_length, sc.num_streams
         rows = np.arange(n)
         out = np.zeros((d, n, d, n), dtype=complex)
         for p, (cols, ramp) in enumerate(zip(self.columns, self.ramps)):
@@ -198,6 +229,11 @@ class ScenarioParams:
     y_max_m: float | None = None        # default: +wavelength
 
     def __post_init__(self):
+        # every float field, a subclass's included (an unset optional is None)
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if "float" in field.type and value is not None and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if self.carrier_frequency_hz <= 0 or self.sampling_rate_hz <= 0:
             raise ValueError("frequencies must be positive")
         if self.block_length < 1 or self.num_paths < 1:

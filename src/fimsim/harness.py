@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, fields
 
@@ -47,6 +48,11 @@ __all__ = [
 _WAVEFORM_NAMES = ("ofdm", "otfs", "afdm")
 _FIM_MODES = ("none", "random", "optimized")
 
+# Above this the Cholesky factorization of the dense rate's
+# I + H H^H / sigma^2 can fail in floating point: it did at 120 and 130 dB
+# on small configs, and never at 110 dB or below.
+MAX_SNR_DB = 100.0
+
 SNR_DEFINITION = ("sigma_w^2 = symbol_energy * block_length * num_streams"
                   " / (10^(snr_db/10) * block_length * tx_elements * rx_elements)")
 
@@ -58,6 +64,11 @@ class ExperimentConfig(ScenarioParams):
     The scenario fields are inherited from ``ScenarioParams``, so a config
     is passed to ``random_scenario`` as it is.  The noise variance is not
     a field: each SNR point derives its own (``noise_var_for_snr``).
+
+    Every float field and ``snr_db`` entry must be finite, and every SNR
+    (``snr_db`` entries, ``optimizer_snr_db``, ``music_snr_db``) is at most
+    ``MAX_SNR_DB`` = 100 dB: higher SNRs can make the dense rate's
+    Cholesky factorization fail mid-run, so they are rejected here.
     """
 
     waveforms: tuple = _WAVEFORM_NAMES
@@ -80,6 +91,14 @@ class ExperimentConfig(ScenarioParams):
         object.__setattr__(self, "waveforms", tuple(str(w).lower() for w in self.waveforms))
         object.__setattr__(self, "fim_modes", tuple(str(m).lower() for m in self.fim_modes))
         object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
+        snrs = [*(("snr_db", snr) for snr in self.snr_db),
+                ("optimizer_snr_db", self.optimizer_snr_db),
+                ("music_snr_db", self.music_snr_db)]
+        for name, snr in snrs:
+            if snr is not None and not math.isfinite(snr):
+                raise ValueError(f"{name} must be finite, got {snr}")
+            if snr is not None and snr > MAX_SNR_DB:
+                raise ValueError(f"{name} {snr:g} dB exceeds the {MAX_SNR_DB:g} dB bound")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.snr_db:

@@ -114,6 +114,18 @@ class TestFailures:
         assert "symbol_energy" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line,message", [("snr_db = 0, nan", "finite"),
+                                              ("optimizer_snr_db = 120", "bound")])
+    def test_bad_snr_fails_before_any_work(self, tmp_path, capsys, line, message):
+        # a NaN SNR would write NaN rates and exit 0
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(line + "\n")
+        out = tmp_path / "out"
+        code = main(["rate-sweep", "--config", str(bad), "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_list_entry_fails_before_any_work(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(FAST_CFG + "waveforms = ofdm, ofdm\nsnr_db = 10, 10\n")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fimsim import (ExperimentConfig, MusicGrid, MusicResult, RateSweepResult,
-                    config_from_file, default_grid, emit_results,
+                    ScenarioParams, config_from_file, default_grid, emit_results,
                     parse_config_file, run_music_experiment, run_optimize_once,
                     run_rate_sweep)
 from fimsim import harness
@@ -70,6 +70,29 @@ class TestConfig:
     def test_rejects_configs_that_would_fail_mid_run(self, values):
         with pytest.raises(ValueError):
             ExperimentConfig(**values)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", [
+        "carrier_frequency_hz", "sampling_rate_hz", "max_range_m", "max_velocity_mps",
+        "y_min_m", "y_max_m", "beta", "psi_fraction", "optimizer_snr_db",
+        "music_grid_step_deg", "music_snr_db", "symbol_energy", "snr_db"])
+    def test_rejects_non_finite_floats(self, name, bad):
+        value = (0.0, bad) if name == "snr_db" else bad
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentConfig(**{name: value})
+        if name in {f.name for f in fields(ScenarioParams)}:
+            with pytest.raises(ValueError, match="finite"):
+                ScenarioParams(**{name: value})
+
+    @pytest.mark.parametrize("name", ["snr_db", "optimizer_snr_db", "music_snr_db"])
+    def test_snr_bound(self, name):
+        # above 100 dB the dense rate's Cholesky factorization can fail mid-run
+        def config(snr):
+            return ExperimentConfig(**{name: (0.0, snr) if name == "snr_db" else snr})
+
+        assert config(100.0)
+        with pytest.raises(ValueError, match="100 dB bound"):
+            config(100.5)
 
     @pytest.mark.parametrize("values", [
         dict(waveforms=("ofdm", "ofdm")),

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fimsim import (OFDM, OTFS, ChannelScenario, OptimizerConfig, PathAngles,
                     PropagationPath, achievable_rate, channel_power,
                     effective_channel, objective_gradient, optimize,
                     penalized_objective, random_scenario, random_surface,
-                    sensing_slack, steering_vector, waveform_for)
+                    sensing_slack, steering_vector, waveform_factors,
+                    waveform_for)
+from fimsim.optimizer import _DenseRoute, _PathSpaceRoute, _route
 
 from helpers import (channel_grad_rx, channel_grad_tx, dense_objective_gradient,
                      gram_grad, objective_grad_element, relative_error,
@@ -364,6 +366,59 @@ class TestObjectiveGradient:
         assert relative_error(got, want) <= 1e-9
 
 
+# Metres of range per delay tap at the default 20 MHz sampling rate.
+METERS_PER_TAP = 15.0
+
+
+class TestPathSpaceRoute:
+    @pytest.mark.parametrize("num_paths,route", [(1, _PathSpaceRoute), (3, _PathSpaceRoute),
+                                                 (4, _DenseRoute), (5, _DenseRoute)])
+    def test_route_by_path_count(self, num_paths, route):
+        scenario = small_scenario(seed=51, num_paths=num_paths)    # d_s = 4
+        assert type(_route(waveform_factors(OFDM(8), scenario), 0.1)) is route
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**16), counts=st.tuples(*[st.integers(1, 3)] * 4),
+           path_draw=st.integers(0, 7), block_length=st.sampled_from([4, 9, 16]),
+           waveform=st.sampled_from(["ofdm", "otfs", "afdm"]),
+           psi_fraction=st.sampled_from([0.8, 1.2]), shared_tap=st.booleans())
+    def test_property_matches_dense_route(self, seed, counts, path_draw, block_length,
+                                          waveform, psi_fraction, shared_tap):
+        # P from 1 to d_s - 1; rate, power and objective gradient against
+        # the dense matrix and the per-element dense oracle
+        tx_x, tx_z, rx_x, rx_z = counts
+        num_streams = min(tx_x * tx_z, rx_x * rx_z)
+        assume(num_streams >= 2)
+        num_paths = 1 + path_draw % (num_streams - 1)
+        max_range_m = (SHARED_TAP_RANGE_M if shared_tap
+                       else METERS_PER_TAP * (block_length - 1))
+        scenario = random_scenario(small_params(
+            block_length, num_paths, max_range_m=max_range_m,
+            tx_elements_x=tx_x, tx_elements_z=tx_z,
+            rx_elements_x=rx_x, rx_elements_z=rx_z), seed)
+        spec = waveform_for(waveform, scenario)
+        rng = np.random.default_rng(seed + 1)
+        y_t = random_surface(scenario.tx_geometry, rng)
+        y_r = random_surface(scenario.rx_geometry, rng)
+        noise_var = 0.1
+        h = effective_channel(spec, scenario, y_t, y_r)
+        psi = psi_fraction * channel_power(h)
+
+        route = _PathSpaceRoute(waveform_factors(spec, scenario), noise_var)
+        state = route.state(y_t, y_r)
+        rate, power = route.rate(state), route.power(state)
+        assert abs(rate - achievable_rate(h, noise_var)) <= 1e-9 * abs(rate)
+        assert abs(power - channel_power(h)) <= 1e-9 * power
+        got = objective_gradient(spec, scenario, y_t, y_r, noise_var, 2.0, psi)
+        if num_paths == 1:
+            # a rank-one channel's rate and power ignore the shapes: exactly
+            # zero, where the dense adjoint returns roundoff
+            assert not np.any(got)
+        else:
+            want = dense_objective_gradient(spec, scenario, y_t, y_r, noise_var, 2.0, psi)
+            assert relative_error(got, want) <= 1e-9
+
+
 class TestOptimize:
     def test_zero_gradient_start(self):
         # all azimuths zero: no element can change any steering phase
@@ -438,3 +493,13 @@ class TestOptimize:
         b = optimize(scenario, OFDM(8), config, rng=5)
         assert np.array_equal(a.tx_surface, b.tx_surface)
         assert np.array_equal(a.objective_trace, b.objective_trace)
+
+    def test_single_path_stops_at_zero_gradient(self):
+        # one path: its Gram entries a^H a are fixed norms, so no shape moves
+        # the rate or the power and the ascent stops before its first step
+        scenario = small_scenario(seed=38, num_paths=1)
+        config = OptimizerConfig(noise_var=0.1, max_iters=10)
+        result = optimize(scenario, OFDM(8), config, rng=6)
+        assert result.iterations_run == 0
+        assert result.stop_reason == "zero gradient"
+        assert len(result.rate_trace) == 1
