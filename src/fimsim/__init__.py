@@ -22,8 +22,7 @@ from .harness import (ExperimentConfig, MusicResult, OptimizeOnceResult,
 from .music import (MusicGrid, default_grid, extract_peaks, music_spectrum,
                     noise_subspace, rx_covariance)
 from .optimizer import (OptimizerConfig, OptimizerResult, achievable_rate,
-                        channel_power, objective_gradient, optimize,
-                        penalized_objective, sensing_slack)
+                        channel_power, objective_gradient, optimize)
 from .waveforms import (AFDM, OFDM, OTFS, afdm_c1, cp_phase_function,
                         default_afdm, default_otfs, demodulate, dft_matrix,
                         domain_transform, effective_channel, modulate,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -118,7 +119,7 @@ class ChannelFactors:
     surface shapes, so a record is built once per scenario and prefix
     phase and evaluated at any shapes: it caches each entry's fixed x/z
     lattice phase (``lattice_tx``, ``lattice_rx``), which ``steering``
-    multiplies by exp(slope * y).  ``pair_blocks`` gives the shape-free
+    multiplies by exp(slope * y).  ``pair_blocks`` holds the shape-free
     blocks the optimizer's path-space route works with.
     """
 
@@ -162,9 +163,10 @@ class ChannelFactors:
         a_r = self.lattice_rx * np.exp(np.outer(rx_surface[:d], self.slope_rx))
         return a_t, a_r
 
+    @cached_property
     def pair_blocks(self) -> np.ndarray:
         """Shape-free path-pair blocks ``D_pq = conj(w_p) w_q T_p^H T_q`` as
-        a (P, N, P, N) array.
+        a (P, N, P, N) array, built on first use and kept with the record.
 
         ``T_p^H T_q`` is monomial: row i holds ``conj(ramps[p, k]) *
         ramps[q, k]`` at column ``columns[q, k]``, where k = (i + taps[p])
@@ -232,7 +234,8 @@ class ScenarioParams:
         # every float field, a subclass's included (an unset optional is None)
         for field in fields(self):
             value = getattr(self, field.name)
-            if "float" in field.type and value is not None and not math.isfinite(value):
+            if (field.type.startswith("float") and value is not None
+                    and not math.isfinite(value)):
                 raise ValueError(f"{field.name} must be finite, got {value}")
         if self.carrier_frequency_hz <= 0 or self.sampling_rate_hz <= 0:
             raise ValueError("frequencies must be positive")

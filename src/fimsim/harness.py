@@ -1,12 +1,13 @@
 """Experiment drivers: seeded scenario sweeps and deterministic file output.
 
 Two experiments are provided.  The rate sweep draws channel realizations
-and evaluates the achievable rate per waveform and SNR point under three
-array modes (rigid flat surfaces, randomly morphed surfaces, and surfaces
-optimized by gradient ascent).  The sensing experiment transmits random
-symbol frames through one realization and runs the subspace scan per
-array mode and waveform, recording spectra, extracted peaks, per-target
-angle errors, and 1-D cuts through each true target.
+and evaluates the achievable rate, on the ascent's route, per waveform and
+SNR point under three array modes (rigid flat surfaces, randomly morphed
+surfaces, and surfaces optimized by gradient ascent).  The sensing
+experiment transmits random symbol frames through one realization and runs
+the subspace scan per array mode and waveform, recording spectra,
+extracted peaks, per-target angle errors, and 1-D cuts through each true
+target.
 
 All outputs are plain CSV/JSON and are byte-reproducible from the
 (config, seed) pair.  One column-wise writer, ``_write_csv``, owns the CSV
@@ -28,7 +29,7 @@ from .channel import ScenarioParams, random_scenario
 from .geometry import random_surface
 from .music import (default_grid, extract_peaks, music_spectrum, noise_subspace,
                     rx_covariance)
-from .optimizer import OptimizerConfig, OptimizerResult, achievable_rate, optimize
+from .optimizer import OptimizerConfig, OptimizerResult, _route, optimize
 from .waveforms import (cp_phase_function, default_otfs, random_frame,
                         transmit_receive, waveform_factors, waveform_for)
 
@@ -50,8 +51,10 @@ _FIM_MODES = ("none", "random", "optimized")
 
 # Above this the Cholesky factorization of the dense rate's
 # I + H H^H / sigma^2 can fail in floating point: it did at 120 and 130 dB
-# on small configs, and never at 110 dB or below.
+# on small configs, and never at 110 dB or below.  Far below MIN_SNR_DB
+# 10^(snr_db/10) underflows to 0 and the noise variance divides by zero.
 MAX_SNR_DB = 100.0
+MIN_SNR_DB = -100.0
 
 SNR_DEFINITION = ("sigma_w^2 = symbol_energy * block_length * num_streams"
                   " / (10^(snr_db/10) * block_length * tx_elements * rx_elements)")
@@ -66,14 +69,15 @@ class ExperimentConfig(ScenarioParams):
     a field: each SNR point derives its own (``noise_var_for_snr``).
 
     Every float field and ``snr_db`` entry must be finite, and every SNR
-    (``snr_db`` entries, ``optimizer_snr_db``, ``music_snr_db``) is at most
-    ``MAX_SNR_DB`` = 100 dB: higher SNRs can make the dense rate's
-    Cholesky factorization fail mid-run, so they are rejected here.
+    (``snr_db`` entries, ``optimizer_snr_db``, ``music_snr_db``) lies in
+    [``MIN_SNR_DB``, ``MAX_SNR_DB``] = [-100, 100] dB: higher SNRs can make
+    the dense rate's Cholesky factorization fail mid-run, and far lower ones
+    a zero noise variance, so they are rejected here.
     """
 
-    waveforms: tuple = _WAVEFORM_NAMES
-    fim_modes: tuple = _FIM_MODES
-    snr_db: tuple = (0.0, 5.0, 10.0, 15.0, 20.0)
+    waveforms: tuple[str, ...] = _WAVEFORM_NAMES
+    fim_modes: tuple[str, ...] = _FIM_MODES
+    snr_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
     trials: int = 10
     seed: int = 0
     reuse_shapes: bool = False
@@ -99,6 +103,8 @@ class ExperimentConfig(ScenarioParams):
                 raise ValueError(f"{name} must be finite, got {snr}")
             if snr is not None and snr > MAX_SNR_DB:
                 raise ValueError(f"{name} {snr:g} dB exceeds the {MAX_SNR_DB:g} dB bound")
+            if snr is not None and snr < MIN_SNR_DB:
+                raise ValueError(f"{name} {snr:g} dB is below the {MIN_SNR_DB:g} dB bound")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not self.snr_db:
@@ -140,10 +146,7 @@ class ExperimentConfig(ScenarioParams):
                                max_iters=self.optimizer_iters, noise_var=noise_var)
 
     def metadata(self, experiment: str) -> dict:
-        cfg = asdict(self)
-        cfg["waveforms"] = list(self.waveforms)
-        cfg["fim_modes"] = list(self.fim_modes)
-        cfg["snr_db"] = list(self.snr_db)
+        cfg = {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
         return {
             "experiment": experiment,
             "config": cfg,
@@ -189,10 +192,11 @@ def _mode_surfaces(scenario, mode, rand_pair, optimized_pair):
 
 
 def run_rate_sweep(config: ExperimentConfig) -> RateSweepResult:
-    """Per-trial achievable rates over the SNR sweep, per waveform and mode.
+    """Per-trial rates over the SNR sweep on the ascent's route, per waveform and mode.
 
-    The optimizer is initialized at the trial's random surfaces, so the
-    optimized rate can only improve on the random one.  With
+    The ascent starts at the trial's random surfaces and never lowers its
+    objective, so the optimized rate is at least the random rate plus beta
+    times the random surfaces' (nonpositive) sensing slack.  With
     ``reuse_shapes`` the shapes optimized on the first realization (at the
     first SNR point) are reused everywhere after.
     """
@@ -225,14 +229,15 @@ def run_rate_sweep(config: ExperimentConfig) -> RateSweepResult:
                     optimized_pair = (opt.tx_surface, opt.rx_surface)
                     if config.reuse_shapes:
                         reused = optimized_pair
+            routes = {record: _route(f, noise_var) for record, f in factors.items()}
             rates = {}
             for name in config.waveforms:
                 for mode in config.fim_modes:
                     key = (record_of[name], mode)
                     if key not in rates:
+                        route = routes[record_of[name]]
                         y_t, y_r = _mode_surfaces(scenario, mode, rand_pair, optimized_pair)
-                        rates[key] = achievable_rate(
-                            factors[record_of[name]].matrix(y_t, y_r), noise_var)
+                        rates[key] = route.rate(route.state(y_t, y_r))
                     records.append({"waveform": name, "fim_mode": mode,
                                     "snr_db": float(snr), "trial": trial,
                                     "rate_bits": rates[key]})
@@ -458,31 +463,29 @@ def emit_results(results, out_dir) -> list:
     return written
 
 
-_NULLABLE_FLOATS = {"y_min_m", "y_max_m", "music_snr_db"}
+_SCALARS = {"int": int, "float": float, "str": str}
 
 
 def _convert_field(name: str, text: str):
-    known = {f.name for f in fields(ExperimentConfig)}
-    if name not in known:
+    """Parse one value by its field's annotation: T, T | None or tuple[T, ...]."""
+    kinds = {f.name: f.type for f in fields(ExperimentConfig)}
+    if name not in kinds:
         raise ValueError(f"unknown config key {name!r}")
-    if name in _NULLABLE_FLOATS:
-        return None if text.lower() in ("none", "") else float(text)
-    example = getattr(ExperimentConfig, name, None)
-    if name in ("waveforms", "fim_modes"):
-        return tuple(part.strip() for part in text.split(",") if part.strip())
-    if name == "snr_db":
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    if isinstance(example, bool):
+    kind = kinds[name]
+    if kind.endswith(" | None"):
+        if text.lower() in ("none", ""):
+            return None
+        kind = kind.removesuffix(" | None")
+    if kind.startswith("tuple["):
+        item = _SCALARS[kind.removeprefix("tuple[").removesuffix(", ...]")]
+        return tuple(item(part.strip()) for part in text.split(",") if part.strip())
+    if kind == "bool":
         if text.lower() in ("true", "yes", "1"):
             return True
         if text.lower() in ("false", "no", "0"):
             return False
         raise ValueError(f"cannot parse boolean {text!r} for {name}")
-    if isinstance(example, int):
-        return int(text)
-    if isinstance(example, float):
-        return float(text)
-    return text
+    return _SCALARS[kind](text)
 
 
 def parse_config_file(path) -> dict:

@@ -11,14 +11,15 @@ term, so H is the time-domain channel with the waveform's prefix phase,
 evaluated from the scenario's ``ChannelFactors`` record, built once per
 ascent: only the steering entries depend on the shapes, and each
 element's y coordinate enters one row (receive) or one column (transmit)
-of each path's spatial factor.  The ascent and ``objective_gradient``
-pick one of two routes per record, by the path count P against the
-stream count d_s.
+of each path's spatial factor.  Every rate, power, objective and gradient
+at given shapes is evaluated on a route (``_route``), picked per record by
+the path count P against the stream count d_s; the ascent,
+``objective_gradient`` and the rate sweep (``fimsim.harness``) all use it.
 
 Path space (P < d_s).  With P paths H H^H has rank at most P N, and
 Sylvester's identity moves the determinant into a P N x P N space:
 
-    D_pq = conj(w_p) w_q T_p^H T_q      shape-free, built once per route
+    D_pq = conj(w_p) w_q T_p^H T_q      shape-free, built once per record
     K_t = A_t^H A_t,  K_r = A_r^H A_r   P x P steering Grams
     M = I + (K_t kron I_N) Y / sigma^2, Y = D o (K_r kron J_N)
     rate = log2 det M,  power = sum_pq K_t[q, p] K_r[p, q] tr(D_pq)
@@ -61,8 +62,6 @@ __all__ = [
     "OptimizerResult",
     "achievable_rate",
     "channel_power",
-    "sensing_slack",
-    "penalized_objective",
     "objective_gradient",
     "optimize",
 ]
@@ -128,7 +127,7 @@ def achievable_rate(h_bar, noise_var: float) -> float:
     h = np.asarray(h_bar, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"channel matrix must be square, got {h.shape}")
-    if noise_var <= 0.0:
+    if not noise_var > 0.0:       # NaN included
         raise ValueError("noise variance must be positive")
     m = np.eye(h.shape[0]) + h @ h.conj().T / noise_var
     chol = np.linalg.cholesky(m)
@@ -141,57 +140,33 @@ def channel_power(h_bar) -> float:
     return float(np.real(np.vdot(h, h)))
 
 
-def sensing_slack(h_bar, psi: float) -> float:
-    """Clamped constraint violation min(tr(H H^H) - psi, 0); nonpositive."""
-    if psi < 0.0:
-        raise ValueError("psi must be nonnegative")
-    return min(channel_power(h_bar) - psi, 0.0)
+class _Route:
+    """The penalized objective on a subclass's ``state``, ``rate``, ``power``
+    and ``_gradient``; a caller that reads only rates leaves beta and psi 0."""
+
+    def __init__(self, factors: ChannelFactors, noise_var: float,
+                 beta: float = 0.0, psi: float = 0.0):
+        self.factors, self.noise_var = factors, noise_var
+        self.beta, self.psi = beta, psi
+
+    def slack(self, state) -> float:
+        """Clamped floor violation min(power - psi, 0); nonpositive."""
+        return min(self.power(state) - self.psi, 0.0)
+
+    def objective(self, state):
+        """(objective, rate, slack) with objective = rate + beta * slack."""
+        rate, slack = self.rate(state), self.slack(state)
+        return rate + self.beta * slack, rate, slack
+
+    def gradient(self, state, slack: float) -> np.ndarray:
+        """Objective gradient (transmit elements first); beta enters only
+        while the floor is violated (slack < 0)."""
+        return self._gradient(state, self.beta if slack < 0.0 else 0.0)
 
 
-def penalized_objective(h_bar, noise_var: float, beta: float, psi: float):
-    """Return (objective, rate, slack) at one channel matrix."""
-    rate = achievable_rate(h_bar, noise_var)
-    slack = sensing_slack(h_bar, psi)
-    return rate + beta * slack, rate, slack
-
-
-def _adjoint_gradient(factors: ChannelFactors, tx_surface, rx_surface, h,
-                      noise_var: float, penalty: float) -> np.ndarray:
-    """Objective gradient at channel ``h`` (transmit elements first).
-
-    ``penalty`` is beta while the power floor is violated, else 0.
-    """
-    sc = factors.scenario
-    n, d = sc.block_length, sc.num_streams
-    gram = np.eye(h.shape[0]) + h @ h.conj().T / noise_var
-    adj = np.linalg.solve(gram, h) / (noise_var * LOG2)
-    if penalty:
-        adj += penalty * h
-    # sens[p, v, u] = <A_vu, T_p>, so that <A, dH> is the sum over p, v, u
-    # of sens[p, v, u] * dS_p[v, u] for a change dS_p of path p's
-    # stream-reduced spatial factor; T_p is nonzero only at (k, columns[p, k])
-    gathered = adj.reshape(d, n, d, n)[:, np.arange(n), :, factors.columns]
-    sens = np.einsum("pkvu,pk->pvu", gathered.conj(), factors.ramps)
-    a_t, a_r = factors.steering(tx_surface, rx_surface)
-    # dH/dy_b has one nonzero spatial column (transmit element b) or row
-    # (receive element b) per path; elements past d_s never enter H.
-    n_t = sc.tx_geometry.num_elements
-    grad = np.zeros(n_t + sc.rx_geometry.num_elements)
-    grad[:d] = 2.0 * np.real(
-        ((factors.slope_tx * a_t).conj() * np.einsum("vp,pvu->up", a_r, sens))
-        @ factors.weights)
-    grad[n_t:n_t + d] = 2.0 * np.real(
-        ((factors.slope_rx * a_r) * np.einsum("pvu,up->vp", sens, a_t.conj()))
-        @ factors.weights)
-    return grad
-
-
-class _DenseRoute:
+class _DenseRoute(_Route):
     """Rate, power and gradient on the record's d_s N x d_s N matrix: the
     route when P >= d_s, and the oracle of the path-space route."""
-
-    def __init__(self, factors: ChannelFactors, noise_var: float):
-        self.factors, self.noise_var = factors, noise_var
 
     def state(self, y_t, y_r):
         """What the rate, the power and the gradient at these shapes share."""
@@ -203,17 +178,42 @@ class _DenseRoute:
     def power(self, state) -> float:
         return channel_power(state[2])
 
-    def gradient(self, state, penalty: float) -> np.ndarray:
-        return _adjoint_gradient(self.factors, *state, self.noise_var, penalty)
+    def _gradient(self, state, penalty: float) -> np.ndarray:
+        y_t, y_r, h = state
+        factors, noise_var = self.factors, self.noise_var
+        sc = factors.scenario
+        n, d = sc.block_length, sc.num_streams
+        gram = np.eye(h.shape[0]) + h @ h.conj().T / noise_var
+        adj = np.linalg.solve(gram, h) / (noise_var * LOG2)
+        if penalty:
+            adj += penalty * h
+        # sens[p, v, u] = <A_vu, T_p>, so that <A, dH> is the sum over p, v, u
+        # of sens[p, v, u] * dS_p[v, u] for a change dS_p of path p's
+        # stream-reduced spatial factor; T_p is nonzero only at (k, columns[p, k])
+        gathered = adj.reshape(d, n, d, n)[:, np.arange(n), :, factors.columns]
+        sens = np.einsum("pkvu,pk->pvu", gathered.conj(), factors.ramps)
+        a_t, a_r = factors.steering(y_t, y_r)
+        # dH/dy_b has one nonzero spatial column (transmit element b) or row
+        # (receive element b) per path; elements past d_s never enter H.
+        n_t = sc.tx_geometry.num_elements
+        grad = np.zeros(n_t + sc.rx_geometry.num_elements)
+        grad[:d] = 2.0 * np.real(
+            ((factors.slope_tx * a_t).conj() * np.einsum("vp,pvu->up", a_r, sens))
+            @ factors.weights)
+        grad[n_t:n_t + d] = 2.0 * np.real(
+            ((factors.slope_rx * a_r) * np.einsum("pvu,up->vp", sens, a_t.conj()))
+            @ factors.weights)
+        return grad
 
 
-class _PathSpaceRoute:
+class _PathSpaceRoute(_Route):
     """Rate, power and gradient in P N x P N path space: the route when
-    P < d_s.  The shape-free pair blocks D are built once per route."""
+    P < d_s.  The shape-free pair blocks D are the record's, built once."""
 
-    def __init__(self, factors: ChannelFactors, noise_var: float):
-        self.factors, self.noise_var = factors, noise_var
-        self.blocks = factors.pair_blocks()
+    def __init__(self, factors: ChannelFactors, noise_var: float,
+                 beta: float = 0.0, psi: float = 0.0):
+        super().__init__(factors, noise_var, beta, psi)
+        self.blocks = factors.pair_blocks
         self.traces = np.einsum("pkqk->pq", self.blocks)     # tr D_pq
 
     def state(self, y_t, y_r):
@@ -235,7 +235,7 @@ class _PathSpaceRoute:
         k_t, k_r = state[2:4]
         return float(np.real(np.sum(k_t.T * k_r * self.traces)))
 
-    def gradient(self, state, penalty: float) -> np.ndarray:
+    def _gradient(self, state, penalty: float) -> np.ndarray:
         a_t, a_r, k_t, k_r, y, m = state
         p, n = y.shape[:2]
         m_inv = np.linalg.inv(m).reshape(p, n, p, n)
@@ -262,44 +262,43 @@ def _gram_partials(a, slope, g) -> np.ndarray:
     return np.real(np.sum(a.conj() * (a @ g_s.T), axis=1))
 
 
-def _route(factors: ChannelFactors, noise_var: float):
+def _route(factors: ChannelFactors, noise_var: float, beta: float = 0.0,
+           psi: float = 0.0) -> _Route:
     """Path space while it is the smaller space (P < d_s), else the dense matrix."""
     sc = factors.scenario
     cls = _PathSpaceRoute if sc.num_paths < sc.num_streams else _DenseRoute
-    return cls(factors, noise_var)
+    return cls(factors, noise_var, beta, psi)
 
 
 def objective_gradient(spec, scenario: ChannelScenario, tx_surface, rx_surface,
                        noise_var: float, beta: float, psi: float) -> np.ndarray:
     """Gradient of the penalized objective with respect to every element's
-    y coordinate: the N_t transmit partials, then the N_r receive ones.
-
-    The penalty term contributes only while the power floor is violated
-    (the clamped penalty is flat once satisfied, so its subgradient
-    vanishes there).
+    y coordinate: the N_t transmit partials, then the N_r receive ones.  The
+    clamped penalty is flat once the floor holds, so it enters only while
+    the floor is violated.
     """
-    if noise_var <= 0.0:
+    if not noise_var > 0.0:       # NaN included
         raise ValueError("noise variance must be positive")
     if psi < 0.0:
         raise ValueError("psi must be nonnegative")
     y_t = validate_surface(scenario.tx_geometry, tx_surface)
     y_r = validate_surface(scenario.rx_geometry, rx_surface)
-    route = _route(waveform_factors(spec, scenario), noise_var)
+    route = _route(waveform_factors(spec, scenario), noise_var, beta, psi)
     state = route.state(y_t, y_r)
-    return route.gradient(state, beta if route.power(state) - psi < 0.0 else 0.0)
+    return route.gradient(state, route.slack(state))
 
 
 def optimize(scenario: ChannelScenario, spec, config: OptimizerConfig,
              init_tx=None, init_rx=None, rng=None) -> OptimizerResult:
-    """Projected gradient ascent on both surface shapes.
+    """Projected gradient ascent on both surface shapes: the step rule on
+    the route's objective and gradient.
 
-    Each iteration computes the full gradient for the transmit and
-    receive shapes from one linear solve, takes a simultaneous step,
-    projects onto the morphing box, and accepts the step through an Armijo
-    condition on the objective (measured against the projected
-    displacement, so accepted objectives never decrease).  Stops at the iteration budget, on a line
-    search failure, on an exactly zero gradient, or when the projected
-    step collapses.
+    Each iteration takes a simultaneous step on both shapes, projects onto
+    the morphing box, and accepts the step through an Armijo condition on
+    the objective (measured against the projected displacement, so
+    accepted objectives never decrease).  Stops at the iteration budget, on
+    a line search failure, on an exactly zero gradient, or when the
+    projected step collapses.
 
     Missing initial shapes are drawn uniformly from the morphing range
     (one shared draw when both arrays have the same geometry).
@@ -317,30 +316,25 @@ def optimize(scenario: ChannelScenario, spec, config: OptimizerConfig,
     y_t = validate_surface(tx_geom, init_tx, check_bounds=True).copy()
     y_r = validate_surface(rx_geom, init_rx, check_bounds=True).copy()
 
-    route = _route(waveform_factors(spec, scenario), config.noise_var)
-    if config.psi is not None:
-        psi = config.psi
-    else:
-        flat = route.state(tx_geom.flat_surface(), rx_geom.flat_surface())
-        psi = config.psi_fraction * route.power(flat)
-    beta = config.beta
-
-    def objective(state):
-        rate = route.rate(state)
-        slack = min(route.power(state) - psi, 0.0)
-        return rate + beta * slack, rate, slack
+    factors = waveform_factors(spec, scenario)
+    psi = config.psi
+    if psi is None:
+        flat = _route(factors, config.noise_var)
+        psi = config.psi_fraction * flat.power(
+            flat.state(tx_geom.flat_surface(), rx_geom.flat_surface()))
+    route = _route(factors, config.noise_var, config.beta, psi)
 
     step0 = INITIAL_STEP_WAVELENGTHS * tx_geom.wavelength
     n_t = tx_geom.num_elements
 
     state = route.state(y_t, y_r)
-    f_cur, rate_cur, slack_cur = objective(state)
+    f_cur, rate_cur, slack_cur = route.objective(state)
     obj_trace, rate_trace, slack_trace = [f_cur], [rate_cur], [slack_cur]
 
     iterations = 0
     stop_reason = "iteration budget"
     for _ in range(config.max_iters):
-        grad = route.gradient(state, beta if slack_cur < 0.0 else 0.0)
+        grad = route.gradient(state, slack_cur)
 
         if not np.any(grad):
             stop_reason = "zero gradient"
@@ -354,7 +348,7 @@ def optimize(scenario: ChannelScenario, spec, config: OptimizerConfig,
             move = np.concatenate([y_t_new - y_t, y_r_new - y_r])
             # rebinding frees the last trial's state before this one's rate
             state_new = route.state(y_t_new, y_r_new)
-            f_new, rate_new, slack_new = objective(state_new)
+            f_new, rate_new, slack_new = route.objective(state_new)
             if f_new >= f_cur + SUFFICIENT_INCREASE * float(grad @ move):
                 accepted = True
                 break

@@ -199,7 +199,7 @@ def transmit_receive(spec, scenario: ChannelScenario, tx_surface, rx_surface,
     h = effective_channel(spec, scenario, tx_surface, rx_surface)
     if x.shape != (h.shape[0],):
         raise ValueError(f"frame length {x.shape} does not match channel {h.shape}")
-    if noise_var < 0.0:
+    if not noise_var >= 0.0:       # NaN included
         raise ValueError("noise variance must be nonnegative")
     rng = np.random.default_rng(rng)
     scale = np.sqrt(noise_var / 2.0)

@@ -7,7 +7,9 @@ path's N x N time response as a product of a prefix-phase diagonal, a
 Doppler diagonal and a cyclic shift, the form the library's monomial
 record replaces.  The dense gradient oracle forms each element's full
 channel derivative and solves against it separately, the per-element
-route that the library's adjoint gradient replaces.  ``unvec_frame`` is
+route that the library's adjoint gradient replaces.  ``penalized_objective``
+and ``sensing_slack`` are the dense objective on one channel matrix, the
+oracle of the optimizer's routes.  ``unvec_frame`` is
 the layout oracle of a stacked frame, which ``transmit_receive`` returns
 already unstacked.
 """
@@ -15,9 +17,9 @@ already unstacked.
 import numpy as np
 
 from fimsim import (ChannelScenario, FimGeometry, PathAngles, PropagationPath,
-                    ScenarioParams, cp_phase_function, domain_transform,
-                    effective_channel, random_scenario, sensing_slack,
-                    steering_vector)
+                    ScenarioParams, achievable_rate, channel_power,
+                    cp_phase_function, domain_transform, effective_channel,
+                    random_scenario, steering_vector)
 
 SMALL_MAX_RANGE_M = 90.0  # keeps delay taps below a block length of 8
 
@@ -227,6 +229,20 @@ def gram_grad(h_bar, dh, noise_var):
     if h.shape != d.shape:
         raise ValueError("channel and derivative shapes differ")
     return (d @ h.conj().T + h @ d.conj().T) / noise_var
+
+
+def sensing_slack(h_bar, psi: float) -> float:
+    """Clamped constraint violation min(tr(H H^H) - psi, 0); nonpositive."""
+    if psi < 0.0:
+        raise ValueError("psi must be nonnegative")
+    return min(channel_power(h_bar) - psi, 0.0)
+
+
+def penalized_objective(h_bar, noise_var: float, beta: float, psi: float):
+    """Return (objective, rate, slack) at one channel matrix."""
+    rate = achievable_rate(h_bar, noise_var)
+    slack = sensing_slack(h_bar, psi)
+    return rate + beta * slack, rate, slack
 
 
 def objective_grad_element(h_bar, gram, dh, beta, psi, noise_var):

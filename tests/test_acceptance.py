@@ -12,13 +12,12 @@ from fimsim import (OTFS, ExperimentConfig, ScenarioParams,
                     achievable_rate, assemble_effective_td, channel_power,
                     cp_phase_function, domain_transform, effective_channel,
                     emit_results, objective_gradient, optimize,
-                    penalized_objective, random_scenario, random_surface,
-                    run_music_experiment, run_rate_sweep, waveform_factors,
-                    waveform_for)
+                    random_scenario, random_surface, run_music_experiment,
+                    run_rate_sweep, waveform_factors, waveform_for)
 
 from helpers import (cp_phase_matrix, cyclic_shift_matrix, doppler_matrix,
-                     oracle_td_channel, path_time_matrix, relative_error,
-                     small_params)
+                     oracle_td_channel, path_time_matrix, penalized_objective,
+                     relative_error, small_params)
 
 GRID_STEP_DEG = 1.0
 FD_REL_TOL = 1e-5

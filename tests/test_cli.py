@@ -115,7 +115,8 @@ class TestFailures:
         assert not out.exists()
 
     @pytest.mark.parametrize("line,message", [("snr_db = 0, nan", "finite"),
-                                              ("optimizer_snr_db = 120", "bound")])
+                                              ("optimizer_snr_db = 120", "bound"),
+                                              ("snr_db = 0, -4000", "-100 dB bound")])
     def test_bad_snr_fails_before_any_work(self, tmp_path, capsys, line, message):
         # a NaN SNR would write NaN rates and exit 0
         bad = tmp_path / "bad.cfg"
@@ -125,6 +126,15 @@ class TestFailures:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["rate-sweep", "music", "optimize-once"])
+    def test_lowest_snr_runs(self, tmp_path, command):
+        # -100 dB, the lowest SNR accepted, still gives a positive noise
+        # variance at every SNR a command uses
+        cfg = tmp_path / "low.cfg"
+        cfg.write_text(FAST_CFG.replace("snr_db = 10", "snr_db = -100")
+                       + "optimizer_snr_db = -100\nmusic_snr_db = -100\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
     def test_repeated_list_entry_fails_before_any_work(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -7,10 +7,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fimsim import (ExperimentConfig, MusicGrid, MusicResult, RateSweepResult,
-                    ScenarioParams, config_from_file, default_grid, emit_results,
-                    parse_config_file, run_music_experiment, run_optimize_once,
-                    run_rate_sweep)
+from fimsim import (ChannelFactors, ExperimentConfig, MusicGrid, MusicResult,
+                    RateSweepResult, ScenarioParams, config_from_file,
+                    default_grid, emit_results, parse_config_file,
+                    run_music_experiment, run_optimize_once, run_rate_sweep)
 from fimsim import harness
 from fimsim.harness import summarize_rates
 
@@ -94,6 +94,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="100 dB bound"):
             config(100.5)
 
+    @pytest.mark.parametrize("name", ["snr_db", "optimizer_snr_db", "music_snr_db"])
+    def test_snr_lower_bound(self, name):
+        # far below -100 dB the noise variance divides by zero
+        def config(snr):
+            return ExperimentConfig(**{name: (0.0, snr) if name == "snr_db" else snr})
+
+        assert config(-100.0)
+        with pytest.raises(ValueError, match="-100 dB bound"):
+            config(-100.5)
+
     @pytest.mark.parametrize("values", [
         dict(waveforms=("ofdm", "ofdm")),
         dict(waveforms=("OFDM", "afdm", "ofdm")),
@@ -152,13 +162,20 @@ class TestRateSweep:
         # OFDM and OTFS share the phase-free record and so one rate; AFDM
         # keeps its own, although at even N its phase is an integer
         calls = []
-        rate = harness.achievable_rate
+        route_of = harness._route
 
-        def counted(h, noise_var):
-            calls.append(h.shape)
-            return rate(h, noise_var)
+        def counted_route(factors, noise_var):
+            route = route_of(factors, noise_var)
+            rate = route.rate
 
-        monkeypatch.setattr(harness, "achievable_rate", counted)
+            def counted(state):
+                calls.append(noise_var)
+                return rate(state)
+
+            route.rate = counted
+            return route
+
+        monkeypatch.setattr(harness, "_route", counted_route)
         config = ExperimentConfig(snr_db=(0.0, 10.0), trials=2, seed=3,
                                   optimizer_iters=2)
         records = run_rate_sweep(config).records
@@ -168,6 +185,25 @@ class TestRateSweep:
         for (name, mode, snr, trial), value in by_key.items():
             if name == "otfs":
                 assert value == by_key[("ofdm", mode, snr, trial)]
+
+    @pytest.mark.parametrize("num_paths,dense_calls", [(2, False), (5, True)])
+    def test_dense_channel_only_on_dense_records(self, monkeypatch, num_paths,
+                                                 dense_calls):
+        # with P < d_s = 4 neither the ascent nor the sweep's rates form the
+        # d_s N x d_s N channel; with P >= d_s the dense route does
+        calls = []
+        matrix = ChannelFactors.matrix
+
+        def counted(self, tx_surface, rx_surface):
+            calls.append(self.scenario.num_paths)
+            return matrix(self, tx_surface, rx_surface)
+
+        monkeypatch.setattr(ChannelFactors, "matrix", counted)
+        config = ExperimentConfig(num_paths=num_paths, snr_db=(0.0, 10.0), trials=1,
+                                  seed=3, optimizer_iters=2)
+        assert set(config.fim_modes) == {"none", "random", "optimized"}
+        run_rate_sweep(config)
+        assert bool(calls) == dense_calls
 
     def test_reuse_shapes_runs(self):
         config = ExperimentConfig(snr_db=(10.0,), trials=2, seed=3,

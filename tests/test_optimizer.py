@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from fimsim import (OFDM, OTFS, ChannelScenario, OptimizerConfig, PathAngles,
                     PropagationPath, achievable_rate, channel_power,
                     effective_channel, objective_gradient, optimize,
-                    penalized_objective, random_scenario, random_surface,
-                    sensing_slack, steering_vector, waveform_factors,
-                    waveform_for)
+                    random_scenario, random_surface, steering_vector,
+                    waveform_factors, waveform_for)
 from fimsim.optimizer import _DenseRoute, _PathSpaceRoute, _route
 
 from helpers import (channel_grad_rx, channel_grad_tx, dense_objective_gradient,
-                     gram_grad, objective_grad_element, relative_error,
-                     small_params, small_scenario)
+                     gram_grad, objective_grad_element, penalized_objective,
+                     relative_error, sensing_slack, small_params, small_scenario)
 
 FD_STEP_FRACTION = 1e-7  # finite-difference step as a fraction of wavelength
 
@@ -56,6 +55,8 @@ class TestAchievableRate:
             achievable_rate(np.zeros((3, 4)), 1.0)
         with pytest.raises(ValueError):
             achievable_rate(np.eye(3), 0.0)
+        with pytest.raises(ValueError):
+            achievable_rate(np.eye(3), float("nan"))
 
 
 class TestSensingSlack:
@@ -343,6 +344,8 @@ class TestObjectiveGradient:
         scenario, spec, y_t, y_r, _, psi = gradient_case(50, 2, "ofdm", 0.8)
         with pytest.raises(ValueError):
             objective_gradient(spec, scenario, y_t, y_r, 0.0, 2.0, psi)
+        with pytest.raises(ValueError):
+            objective_gradient(spec, scenario, y_t, y_r, float("nan"), 2.0, psi)
 
     @settings(derandomize=True, max_examples=25, deadline=None, database=None)
     @given(seed=st.integers(0, 2**16), num_paths=st.integers(2, 5),

@@ -286,6 +286,9 @@ class TestTransmitReceive:
         with pytest.raises(ValueError):
             transmit_receive(OFDM(8), scenario, np.zeros(4), np.zeros(4),
                              random_frame(8, 4, 0), -0.1, 0)
+        with pytest.raises(ValueError):
+            transmit_receive(OFDM(8), scenario, np.zeros(4), np.zeros(4),
+                             random_frame(8, 4, 0), float("nan"), 0)
 
 
 class TestRandomFrame:
