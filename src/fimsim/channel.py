@@ -141,8 +141,8 @@ class ChannelFactors:
                          * np.sin(az_in) * np.sin(el_in))
         # the first d_s steering entries at y = 0: each element's fixed x/z
         # phase per path, times 1/sqrt(B)
-        self.lattice_tx = steering_matrix(tx, tx.flat_surface(), az_out, el_out)[:d]
-        self.lattice_rx = steering_matrix(rx, rx.flat_surface(), az_in, el_in)[:d]
+        self.lattice_tx = steering_matrix(tx, tx.flat_surface(), az_out, el_out, d)
+        self.lattice_rx = steering_matrix(rx, rx.flat_surface(), az_in, el_in, d)
         k = np.arange(n)
         self.taps = np.array([p.delay_taps(fs) for p in paths])
         self.columns = (k - self.taps[:, None]) % n

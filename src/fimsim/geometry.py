@@ -136,17 +136,28 @@ def steering_vector(geom: FimGeometry, surface, angles: PathAngles) -> np.ndarra
     return steering_matrix(geom, surface, angles.azimuth, angles.elevation)[:, 0]
 
 
-def steering_matrix(geom: FimGeometry, surface, azimuth, elevation) -> np.ndarray:
-    """Stack steering vectors for paired angle arrays into a (B, L) matrix."""
+def steering_matrix(geom: FimGeometry, surface, azimuth, elevation,
+                    rows: int | None = None) -> np.ndarray:
+    """Stack steering vectors for paired angle arrays into a (B, L) matrix,
+    or only its first ``rows`` rows (elements), computed alone."""
     azimuth = np.atleast_1d(np.asarray(azimuth, dtype=float))
     elevation = np.atleast_1d(np.asarray(elevation, dtype=float))
     if azimuth.shape != elevation.shape:
         raise ValueError("azimuth and elevation arrays must have equal length")
-    pos = element_positions(geom, surface)
+    if rows is not None and not 1 <= rows <= geom.num_elements:
+        raise ValueError(f"rows {rows} outside [1, {geom.num_elements}]")
+    pos = element_positions(geom, surface)[:rows]
     u, v, w = _direction_cosines(azimuth, elevation)
-    phase = (2.0 * np.pi / geom.wavelength) * (
-        np.outer(pos[:, 0], u) + np.outer(pos[:, 1], v) + np.outer(pos[:, 2], w))
-    return np.exp(1j * phase) / np.sqrt(geom.num_elements)
+    # in place, so that a scan-sized matrix holds at most two buffers
+    phase = np.outer(pos[:, 0], u)
+    phase += np.outer(pos[:, 1], v)
+    phase += np.outer(pos[:, 2], w)
+    phase *= 2.0 * np.pi / geom.wavelength
+    out = 1j * phase
+    del phase
+    np.exp(out, out=out)
+    out /= np.sqrt(geom.num_elements)
+    return out
 
 
 def project_surface(geom: FimGeometry, surface) -> np.ndarray:

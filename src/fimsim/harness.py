@@ -10,13 +10,14 @@ extracted peaks, per-target angle errors, and 1-D cuts through each true
 target.
 
 All outputs are plain CSV/JSON and are byte-reproducible from the
-(config, seed) pair.  One column-wise writer, ``_write_csv``, owns the CSV
-number format; spectra and profiles are written as views of the grids.
+(config, seed) pair.  Every float is written through one format,
+``_FLOAT``.  One column-wise writer, ``_write_csv``, writes the tables;
+each spectrum fills a row template of preformatted angle labels in one
+string operation, and the profiles take the same labels and values.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -27,8 +28,8 @@ import numpy as np
 from ._version import __version__
 from .channel import ScenarioParams, random_scenario
 from .geometry import random_surface
-from .music import (default_grid, extract_peaks, music_spectrum, noise_subspace,
-                    rx_covariance)
+from .music import (default_grid, extract_peaks, grid_steering, music_spectrum,
+                    noise_subspace, rx_covariance)
 from .optimizer import OptimizerConfig, OptimizerResult, _route, optimize
 from .waveforms import (cp_phase_function, default_otfs, random_frame,
                         transmit_receive, waveform_factors, waveform_for)
@@ -261,12 +262,91 @@ def summarize_rates(records) -> list:
     return summary
 
 
+def _assignment_duals(cost):
+    """Optimal dual potentials of the square assignment problem
+    min sum_i cost[i, perm[i]], by shortest augmenting paths (Kuhn 1955;
+    Jonker and Volgenant 1987) in O(n^3): ``u[i] + v[j] <= cost[i, j]``,
+    with equality on the returned optimal assignment ``col_of``."""
+    n = cost.shape[0]
+    u, v = np.zeros(n + 1), np.zeros(n + 1)   # index 0 is the path's root
+    row_of = np.zeros(n + 1, dtype=int)      # 1-based row holding each column
+    for i in range(1, n + 1):
+        row_of[0], j0 = i, 0
+        dist = np.full(n + 1, np.inf)
+        via = np.zeros(n + 1, dtype=int)
+        done = np.zeros(n + 1, dtype=bool)
+        while row_of[j0] != 0:
+            done[j0] = True
+            i0 = row_of[j0]
+            reduced = cost[i0 - 1] - u[i0] - v[1:]
+            closer = ~done[1:] & (reduced < dist[1:])
+            dist[1:][closer] = reduced[closer]
+            via[1:][closer] = j0
+            j1 = 1 + np.argmin(np.where(done[1:], np.inf, dist[1:]))
+            delta = dist[j1]
+            u[row_of[done]] += delta
+            v[done] -= delta
+            dist[~done] -= delta
+            j0 = j1
+        while j0:
+            row_of[j0] = row_of[via[j0]]
+            j0 = via[j0]
+    col_of = np.empty(n, dtype=int)
+    col_of[row_of[1:] - 1] = np.arange(n)
+    return u[1:], v[1:], col_of
+
+
+def _first_optimal_assignment(cost) -> list:
+    """The lexicographically first assignment of rows to distinct columns
+    (rows <= columns) of least total cost.
+
+    Padding rows of zero cost make the problem square.  An assignment is
+    optimal exactly when it uses only edges of zero reduced cost under the
+    optimal duals, so row by row the smallest such column is kept for
+    which the other rows can still be re-matched along zero-cost edges.
+    """
+    rows, cols = cost.shape
+    square = np.zeros((cols, cols))
+    square[:rows] = cost
+    u, v, col_of = _assignment_duals(square)
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(cost), initial=0.0)))
+    tight = square - u[:, None] - v[None, :] <= tol
+    row_of = np.empty(cols, dtype=int)
+    row_of[col_of] = np.arange(cols)
+
+    def rematch(row, target, blocked):
+        # move ``row`` off its column along an alternating path to ``target``
+        for col in np.flatnonzero(tight[row]):
+            if blocked[col]:
+                continue
+            blocked[col] = True
+            if col == target or rematch(row_of[col], target, blocked):
+                col_of[row], row_of[col] = col, row
+                return True
+        return False
+
+    fixed = np.zeros(cols, dtype=bool)
+    for i in range(rows):
+        for j in np.flatnonzero(tight[i] & ~fixed):
+            if j == col_of[i]:
+                break
+            blocked = fixed.copy()
+            blocked[j] = True
+            target = col_of[i]
+            if rematch(row_of[j], target, blocked):
+                col_of[i], row_of[j] = j, i
+                break
+        fixed[col_of[i]] = True
+    return col_of[:rows].tolist()
+
+
 def _match_to_truth(truth_deg, est_deg):
     """Assign estimates to true targets, minimizing total worst-axis error.
 
     With at least as many estimates as targets the assignment is
-    injective; otherwise each target takes its nearest estimate and the
-    pairing is flagged short.
+    injective, and ties go to the lexicographically first one; otherwise
+    each target takes its nearest estimate and the pairing is flagged
+    short.
     """
     def chebyshev(a, b):
         return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
@@ -274,15 +354,10 @@ def _match_to_truth(truth_deg, est_deg):
     if not est_deg:
         return [(t, None, float("nan")) for t in truth_deg], True
     if len(est_deg) >= len(truth_deg):
-        best = None
-        for perm in itertools.permutations(range(len(est_deg)), len(truth_deg)):
-            total = sum(chebyshev(truth_deg[i], est_deg[perm[i]])
-                        for i in range(len(truth_deg)))
-            if best is None or total < best[0]:
-                best = (total, perm)
-        pairing = [(truth_deg[i], est_deg[best[1][i]],
-                    chebyshev(truth_deg[i], est_deg[best[1][i]]))
-                   for i in range(len(truth_deg))]
+        cost = np.array([[chebyshev(t, e) for e in est_deg] for t in truth_deg])
+        perm = _first_optimal_assignment(cost)
+        pairing = [(t, est_deg[j], chebyshev(t, est_deg[j]))
+                   for t, j in zip(truth_deg, perm)]
         return pairing, False
     pairing = []
     for t in truth_deg:
@@ -319,6 +394,9 @@ def run_music_experiment(config: ExperimentConfig) -> MusicResult:
     combo_idx = 0
     for mode in config.fim_modes:
         y_t, y_r = _mode_surfaces(scenario, mode, rand_pair, optimized_pair)
+        # every waveform's noise basis has one row per stream
+        steering = grid_steering(scenario.rx_geometry, y_r, azimuth, elevation,
+                                 scenario.num_streams)
         for name in config.waveforms:
             frame_rng, noise_rng = (np.random.default_rng(s)
                                     for s in combo_seeds[combo_idx].spawn(2))
@@ -328,7 +406,8 @@ def run_music_experiment(config: ExperimentConfig) -> MusicResult:
             received = transmit_receive(spec, scenario, y_t, y_r, frame, noise_var,
                                         noise_rng)
             basis = noise_subspace(rx_covariance(received), scenario.num_paths)
-            grid = music_spectrum(basis, scenario.rx_geometry, y_r, azimuth, elevation)
+            grid = music_spectrum(basis, scenario.rx_geometry, y_r, azimuth, elevation,
+                                  steering)
             grid.peaks = extract_peaks(grid, scenario.num_paths)
             grids[(mode, name)] = grid
 
@@ -357,13 +436,16 @@ def run_optimize_once(config: ExperimentConfig) -> OptimizeOnceResult:
     return OptimizeOnceResult(result=result, metadata=config.metadata("optimize_once"))
 
 
+_FLOAT = "%.12g"   # every float an output file holds: twelve significant digits
+
+
 def _column_cells(values) -> list:
     """One column's cells, by the type of its values: floats to twelve
     significant digits in one string operation, bools as true/false, and
     anything else through str."""
     values = values.tolist() if isinstance(values, np.ndarray) else values
     if all(isinstance(v, float) for v in values):
-        return ("%.12g\n" * len(values) % tuple(values)).splitlines()
+        return ((_FLOAT + "\n") * len(values) % tuple(values)).splitlines()
     if all(isinstance(v, bool) for v in values):
         return ["true" if v else "false" for v in values]
     return [str(v) for v in values]
@@ -381,30 +463,46 @@ def _write_rows(path, header, rows) -> None:
     _write_csv(path, header, [[row[h] for row in rows] for h in header])
 
 
-def _write_spectrum(path, grid) -> None:
-    """The grid as azimuth_deg, elevation_deg, value_db rows, azimuth major;
-    each axis's labels are formatted once and repeated."""
-    az = _column_cells(np.rad2deg(grid.azimuth_rad))
-    el = _column_cells(np.rad2deg(grid.elevation_rad))
-    _write_csv(path, ["azimuth_deg", "elevation_deg", "value_db"],
-               [[a for a in az for _ in el], el * len(az),
-                10.0 * np.log10(grid.values).ravel()])
+def _write_spectra(results, path_of) -> dict:
+    """Write each grid as azimuth_deg, elevation_deg, value_db rows, azimuth
+    major, and return the cells of its profile cuts (``_write_profiles``).
+
+    The axis labels are formatted once into a row template with a float
+    slot per point, reused by every grid on the same axes, and one string
+    operation fills in a grid's dB values.  A cut's cells are the same
+    labels, and the same dB values through the same format.
+    """
+    cuts, axes, template = {}, None, ""
+    for key, grid in sorted(results.grids.items()):
+        az, el = np.rad2deg(grid.azimuth_rad), np.rad2deg(grid.elevation_rad)
+        if axes != (az.tobytes(), el.tobytes()):
+            axes = (az.tobytes(), el.tobytes())
+            az_cells, el_cells = _column_cells(az), _column_cells(el)
+            template = "".join([f"{a},{e},{_FLOAT}\n" for a in az_cells for e in el_cells])
+        db = 10.0 * np.log10(grid.values)
+        with open(path_of(f"music_spectrum_{key[0]}_{key[1]}.csv"), "w",
+                  encoding="utf-8", newline="") as fh:
+            fh.write("azimuth_deg,elevation_deg,value_db\n"
+                     + template % tuple(db.ravel().tolist()))
+        cuts[key] = []
+        for true_az, true_el in results.metadata["true_angles_deg"]:
+            i0, j0 = np.argmin(np.abs(az - true_az)), np.argmin(np.abs(el - true_el))
+            cuts[key] += [("elevation", el_cells, _column_cells(db[i0])),
+                          ("azimuth", az_cells, _column_cells(db[:, j0]))]
+    return cuts
 
 
-def _write_profiles(path, results) -> None:
+def _write_profiles(path, results, cuts) -> None:
     """1-D cuts of each grid's dB values through every true target: along
     elevation at the nearest azimuth, then along azimuth at the nearest
     elevation.  Grids come in run order (fim mode, then waveform)."""
-    cuts = []   # (fim_mode, waveform, scatterer, axis, angles_deg, values_db)
-    for (mode, name), grid in results.grids.items():
-        az, el = np.rad2deg(grid.azimuth_rad), np.rad2deg(grid.elevation_rad)
-        db = 10.0 * np.log10(grid.values)
-        for k, (true_az, true_el) in enumerate(results.metadata["true_angles_deg"]):
-            i0, j0 = np.argmin(np.abs(az - true_az)), np.argmin(np.abs(el - true_el))
-            cuts += [(mode, name, k, "elevation", el, db[i0]),
-                     (mode, name, k, "azimuth", az, db[:, j0])]
-    columns = [[cut[c] for cut in cuts for _ in cut[4]] for c in range(4)]
-    columns += [[v for cut in cuts for v in cut[c].tolist()] for c in (4, 5)]
+    columns = [[] for _ in range(6)]
+    for mode, name in results.grids:
+        for index, (axis, angles, values) in enumerate(cuts[(mode, name)]):
+            for column, cells in zip(columns, (mode, name, index // 2, axis)):
+                column += [cells] * len(angles)
+            columns[4] += angles
+            columns[5] += values
     _write_csv(path, ["fim_mode", "waveform", "scatterer", "axis", "angle_deg",
                       "value_db"], columns)
 
@@ -435,14 +533,13 @@ def emit_results(results, out_dir) -> list:
                     results.summary)
         _write_metadata(path_of("run_metadata.json"), results.metadata)
     elif isinstance(results, MusicResult):
-        for (mode, name), grid in sorted(results.grids.items()):
-            _write_spectrum(path_of(f"music_spectrum_{mode}_{name}.csv"), grid)
+        cuts = _write_spectra(results, path_of)
         _write_rows(path_of("music_peaks.csv"),
                     ["fim_mode", "waveform", "scatterer", "true_azimuth_deg",
                      "true_elevation_deg", "est_azimuth_deg", "est_elevation_deg",
                      "error_deg", "peak_shortfall"],
                     results.peaks)
-        _write_profiles(path_of("music_profiles.csv"), results)
+        _write_profiles(path_of("music_profiles.csv"), results, cuts)
         _write_metadata(path_of("run_metadata.json"), results.metadata)
     elif isinstance(results, OptimizeOnceResult):
         res = results.result

@@ -4,7 +4,10 @@ The receiver sees one frame as a (d_s, N) matrix of per-stream samples,
 forms the stream-by-stream covariance, splits off the noise subspace, and
 scans the receive-array steering manifold over an azimuth/elevation grid:
 the pseudo-spectrum is the reciprocal of the projection of each candidate
-steering vector onto the noise subspace.
+steering vector onto the noise subspace.  The grid's steering depends only
+on the receive shape, so ``grid_steering`` computes it once (for the d_s
+stream elements alone) and every frame received through that shape is
+scanned against it.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ __all__ = [
     "default_grid",
     "rx_covariance",
     "noise_subspace",
+    "grid_steering",
     "music_spectrum",
     "extract_peaks",
 ]
@@ -68,16 +72,9 @@ def noise_subspace(r, num_sources: int) -> np.ndarray:
     return vecs[:, :d - num_sources]
 
 
-def music_spectrum(noise_basis, rx_geom: FimGeometry, rx_surface,
-                   azimuth=None, elevation=None) -> MusicGrid:
-    """Scan the steering manifold against the noise subspace.
-
-    The raw value at each grid point is 1 / max(||U^H b||^2, floor) with b
-    the steering vector there; values are then normalized to peak one.
-    The basis rows are the receive streams, which the channel's identity
-    stream selection maps to the first d_s receive elements, so b keeps
-    those entries (all of them when d_s equals the element count).
-    """
+def _grid_axes(azimuth, elevation):
+    """The scan axes, sorted, with the default grid standing in for either
+    one left out."""
     if azimuth is None or elevation is None:
         default_az, default_el = default_grid()
         azimuth = default_az if azimuth is None else azimuth
@@ -86,17 +83,55 @@ def music_spectrum(noise_basis, rx_geom: FimGeometry, rx_surface,
     elevation = np.sort(np.asarray(elevation, dtype=float))
     if azimuth.size == 0 or elevation.size == 0:
         raise ValueError("scan grid must be non-empty")
-    basis = np.asarray(noise_basis)
-    if not 1 <= basis.shape[0] <= rx_geom.num_elements:
-        raise ValueError(f"noise basis has {basis.shape[0]} rows, expected 1 to "
-                         f"{rx_geom.num_elements} (one per receive stream)")
+    return azimuth, elevation
 
+
+def grid_steering(rx_geom: FimGeometry, rx_surface, azimuth, elevation,
+                  rows: int) -> np.ndarray:
+    """Receive steering of the first ``rows`` elements at every point of
+    the scan grid (axes sorted), azimuth major: a (rows, A * E) matrix.
+
+    It depends on the receive shape and the grid only, so one matrix
+    serves every noise basis scanned against that shape.
+    """
+    azimuth, elevation = _grid_axes(azimuth, elevation)
     az_mesh, el_mesh = np.meshgrid(azimuth, elevation, indexing="ij")
-    steering = steering_matrix(rx_geom, rx_surface, az_mesh.ravel(),
-                               el_mesh.ravel())[:basis.shape[0]]
+    return steering_matrix(rx_geom, rx_surface, az_mesh.ravel(), el_mesh.ravel(), rows)
+
+
+def music_spectrum(noise_basis, rx_geom: FimGeometry, rx_surface,
+                   azimuth=None, elevation=None, steering=None) -> MusicGrid:
+    """Scan the steering manifold against the noise subspace.
+
+    The raw value at each grid point is 1 / max(||U^H b||^2, floor) with b
+    the steering vector there; values are then normalized to peak one.
+    The basis rows are the receive streams, which the channel's identity
+    stream selection maps to the first d_s receive elements, so b keeps
+    those entries (all of them when d_s equals the element count).
+    ``steering`` is that part of the manifold, ``grid_steering(rx_geom,
+    rx_surface, azimuth, elevation, rows)`` with one row per basis row;
+    without it the scan computes it.  At elevation 0 or pi every azimuth
+    is one direction, so such a row of the grid takes a single value.
+    """
+    azimuth, elevation = _grid_axes(azimuth, elevation)
+    basis = np.asarray(noise_basis)
+    rows = basis.shape[0]
+    if not 1 <= rows <= rx_geom.num_elements:
+        raise ValueError(f"noise basis has {rows} rows, expected 1 to "
+                         f"{rx_geom.num_elements} (one per receive stream)")
+    if steering is None:
+        steering = grid_steering(rx_geom, rx_surface, azimuth, elevation, rows)
+    elif steering.shape != (rows, azimuth.size * elevation.size):
+        raise ValueError(f"steering has shape {steering.shape}, expected "
+                         f"({rows}, {azimuth.size * elevation.size})")
+
     denom = np.sum(np.abs(basis.conj().T @ steering) ** 2, axis=0)
     values = 1.0 / np.maximum(denom, DENOMINATOR_FLOOR)
     values = values.reshape(azimuth.size, elevation.size)
+    # rounding (of sin(pi), and in the product above) would let a pole row
+    # drift along the azimuth and seed spurious strict maxima in it
+    pole = (elevation == 0.0) | (elevation == np.pi)
+    values[:, pole] = values[0, pole]
     values = values / values.max()
     return MusicGrid(azimuth_rad=azimuth, elevation_rad=elevation, values=values)
 

@@ -100,7 +100,7 @@ class OptimizerConfig:
             raise ValueError("noise variance must be positive")
         if self.beta < 0.0:
             raise ValueError("beta must be nonnegative")
-        if self.psi is not None and self.psi < 0.0:
+        if self.psi is not None and not self.psi >= 0.0:   # NaN included
             raise ValueError("psi must be nonnegative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
@@ -279,7 +279,7 @@ def objective_gradient(spec, scenario: ChannelScenario, tx_surface, rx_surface,
     """
     if not noise_var > 0.0:       # NaN included
         raise ValueError("noise variance must be positive")
-    if psi < 0.0:
+    if not psi >= 0.0:       # NaN included
         raise ValueError("psi must be nonnegative")
     y_t = validate_surface(scenario.tx_geometry, tx_surface)
     y_r = validate_surface(scenario.rx_geometry, rx_surface)

@@ -7,8 +7,11 @@ demodulation applies the transform itself, and the effective channel of a
 frame is the time-domain block channel conjugated by the transform.  The
 transform is unitary, so the rate, the channel power and the shape
 gradient see a waveform only through its prefix phase: ``waveform_factors``
-builds the time-domain record with that phase, and only
-``effective_channel`` (and ``transmit_receive`` through it) applies W.
+builds the time-domain record with that phase.  Only two functions apply
+W: ``effective_channel`` forms the dense symbol-domain channel (the
+oracle of the tests and the demos), and ``transmit_receive`` modulates a
+frame, passes it through the record path by path, and demodulates it,
+never forming that channel.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelFactors, ChannelScenario
+from .geometry import validate_surface
 
 __all__ = [
     "OFDM",
@@ -192,16 +196,36 @@ def random_frame(block_length: int, num_streams: int, rng) -> np.ndarray:
 def transmit_receive(spec, scenario: ChannelScenario, tx_surface, rx_surface,
                      frame, noise_var: float, rng) -> np.ndarray:
     """Demodulated receive frame as a (d_s, N) matrix, row v holding stream
-    v: the effective channel times the stacked frame plus circularly
+    v: ``effective_channel(...)`` times the stacked frame plus circularly
     symmetric Gaussian noise of variance ``noise_var`` (zero for a
-    noise-free frame; the noise is drawn either way)."""
+    noise-free frame; the noise is drawn either way).
+
+    The channel is applied path by path and never formed.  The streams
+    are modulated together (X = S conj(W), row v the samples W^H s_v); path
+    p sends the beam a_t,p^H X through its monomial time response and
+    scales it by its weight; the receive array sums a_r,p times each path's
+    samples; and the streams are demodulated together (Y = R W^T).  That
+    costs O(P d_s N + d_s N^2) instead of the dense channel's (d_s N)^2
+    memory, and agrees with the dense product up to rounding.
+    """
+    factors = waveform_factors(spec, scenario)   # block lengths must agree
+    y_t = validate_surface(scenario.tx_geometry, tx_surface)
+    y_r = validate_surface(scenario.rx_geometry, rx_surface)
+    n, d = scenario.block_length, scenario.num_streams
     x = np.asarray(frame, dtype=complex)
-    h = effective_channel(spec, scenario, tx_surface, rx_surface)
-    if x.shape != (h.shape[0],):
-        raise ValueError(f"frame length {x.shape} does not match channel {h.shape}")
+    if x.shape != (d * n,):
+        raise ValueError(f"frame length {x.shape} does not match {d} streams "
+                         f"of {n} samples")
     if not noise_var >= 0.0:       # NaN included
         raise ValueError("noise variance must be nonnegative")
     rng = np.random.default_rng(rng)
     scale = np.sqrt(noise_var / 2.0)
     noise = scale * (rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
-    return (h @ x + noise).reshape(scenario.num_streams, scenario.block_length)
+
+    w = domain_transform(spec)
+    a_t, a_r = factors.steering(y_t, y_r)
+    beams = a_t.conj().T @ (x.reshape(d, n) @ w.conj())     # (P, N): a_t,p^H X
+    # row k of T_p z picks z[columns[p, k]] and scales it by ramps[p, k]
+    paths = (factors.weights[:, None] * factors.ramps
+             * np.take_along_axis(beams, factors.columns, axis=1))
+    return (a_r @ paths) @ w.T + noise.reshape(d, n)

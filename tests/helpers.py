@@ -11,8 +11,11 @@ route that the library's adjoint gradient replaces.  ``penalized_objective``
 and ``sensing_slack`` are the dense objective on one channel matrix, the
 oracle of the optimizer's routes.  ``unvec_frame`` is
 the layout oracle of a stacked frame, which ``transmit_receive`` returns
-already unstacked.
+already unstacked.  ``brute_force_assignment`` tries every permutation,
+the oracle of the harness's peak matching.
 """
+
+import itertools
 
 import numpy as np
 
@@ -288,3 +291,15 @@ def oracle_csv_text(header, rows):
         return str(value)
 
     return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+
+
+def brute_force_assignment(cost):
+    """Lexicographically first permutation of least total cost, rows to
+    distinct columns, found by trying every one in order."""
+    rows, cols = np.shape(cost)
+    best = None
+    for perm in itertools.permutations(range(cols), rows):
+        total = sum(cost[i][perm[i]] for i in range(rows))
+        if best is None or total < best[0]:
+            best = (total, list(perm))
+    return best[1]

@@ -115,6 +115,19 @@ class TestSteeringVector:
             assert np.allclose(mat[:, k],
                                steering_vector(geom, y, PathAngles(az[k], el[k])))
 
+    def test_leading_rows_computed_alone(self, rng):
+        # the first rows of the full matrix, bit for bit
+        geom = make_geom(3, 2)
+        y = rng.uniform(-1, 1, 6)
+        az = rng.uniform(-np.pi / 2, np.pi / 2, 7)
+        el = rng.uniform(0, np.pi, 7)
+        full = steering_matrix(geom, y, az, el)
+        for rows in (1, 4, 6):
+            assert np.array_equal(steering_matrix(geom, y, az, el, rows), full[:rows])
+        for rows in (0, 7):
+            with pytest.raises(ValueError):
+                steering_matrix(geom, y, az, el, rows)
+
 
 class TestSteeringDerivative:
     def test_zero_azimuth_kills_derivative(self):

@@ -2,19 +2,23 @@
 
 import filecmp
 import json
+import time
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fimsim import (ChannelFactors, ExperimentConfig, MusicGrid, MusicResult,
                     RateSweepResult, ScenarioParams, config_from_file,
                     default_grid, emit_results, parse_config_file,
                     run_music_experiment, run_optimize_once, run_rate_sweep)
-from fimsim import harness
+from fimsim import harness, music
 from fimsim.harness import summarize_rates
 
-from helpers import oracle_csv_text
+from helpers import brute_force_assignment, oracle_csv_text
 
 TINY_RATE = ExperimentConfig(snr_db=(0.0, 10.0), trials=2, seed=3,
                              optimizer_iters=10)
@@ -310,6 +314,65 @@ class TestMusicExperiment:
             assert (dir_a / name).exists(), name
             assert filecmp.cmp(dir_a / name, dir_b / name, shallow=False)
 
+    def test_grid_steering_once_per_receive_shape(self, monkeypatch):
+        # three fim modes, so three receive shapes, each scanned by three
+        # waveforms
+        calls = []
+        original = music.steering_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(music, "steering_matrix", counted)
+        config = ExperimentConfig(optimizer_iters=2)
+        run_music_experiment(config)
+        assert len(calls) == len(config.fim_modes) == 3
+
+    def test_profile_cells_are_spectrum_cells(self, tmp_path, music_result):
+        emit_results(music_result, tmp_path)
+        spectra = {}
+        for mode, name in music_result.grids:
+            lines = (tmp_path / f"music_spectrum_{mode}_{name}.csv").read_text()
+            spectra[(mode, name)] = dict(
+                line.rsplit(",", 1) for line in lines.splitlines()[1:])
+        lines = (tmp_path / "music_profiles.csv").read_text().splitlines()
+        truth = music_result.metadata["true_angles_deg"]
+        fixed = {}   # (mode, name, scatterer, axis) -> label of the cut's other angle
+        for (mode, name), grid in music_result.grids.items():
+            az, el = np.rad2deg(grid.azimuth_rad), np.rad2deg(grid.elevation_rad)
+            for k, (t_az, t_el) in enumerate(truth):
+                fixed[(mode, name, k, "elevation")] = "%.12g" % az[np.argmin(np.abs(az - t_az))]
+                fixed[(mode, name, k, "azimuth")] = "%.12g" % el[np.argmin(np.abs(el - t_el))]
+        for line in lines[1:]:
+            mode, name, k, axis, angle, value = line.split(",")
+            other = fixed[(mode, name, int(k), axis)]
+            point = f"{other},{angle}" if axis == "elevation" else f"{angle},{other}"
+            assert spectra[(mode, name)][point] == value
+        assert len(lines) - 1 == sum(
+            (grid.values.shape[0] + grid.values.shape[1]) * len(truth)
+            for grid in music_result.grids.values())
+
+    def test_many_targets_match_in_polynomial_time(self):
+        # nine targets: trying all 9! pairings took seconds per scan
+        config = ExperimentConfig(num_paths=9, tx_elements_x=4, tx_elements_z=4,
+                                  rx_elements_x=4, rx_elements_z=4, optimizer_iters=1,
+                                  music_grid_step_deg=5.0, waveforms=("ofdm",))
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # a scan may show fewer maxima
+            result = run_music_experiment(config)
+        assert time.perf_counter() - start < 1.0
+        assert any(not row["peak_shortfall"] for row in result.peaks)
+        assert len(result.peaks) == 9 * len(config.fim_modes)
+
+    def test_no_estimate_on_the_pole_row(self):
+        # a target 0.3 degrees from the elevation-pi pole: the spectrum's
+        # pole row is flat, so no azimuth there is a strict maximum
+        result = run_music_experiment(ExperimentConfig(optimizer_iters=10, seed=2052))
+        assert min(abs(el - 180.0) for _, el in result.metadata["true_angles_deg"]) < 0.5
+        assert all(row["est_elevation_deg"] != 180.0 for row in result.peaks)
+
     def test_profiles_cover_both_axes(self, tmp_path, music_result):
         emit_results(music_result, tmp_path)
         lines = (tmp_path / "music_profiles.csv").read_text().splitlines()
@@ -407,6 +470,28 @@ class TestCsvAgainstOracle:
         assert (tmp_path / "music_profiles.csv").read_text() == oracle_csv_text(
             ["fim_mode", "waveform", "scatterer", "axis", "angle_deg", "value_db"],
             oracle_profile_rows(grids, truth))
+
+    @pytest.mark.parametrize("step_deg", [1.0, 30.0])
+    def test_spectra_match_row_oracle(self, tmp_path, step_deg):
+        # two grids on one grid's axes and one on other axes, in one result
+        rng = np.random.default_rng(int(step_deg))
+        az, el = default_grid(step_deg)
+        other_az, other_el = default_grid(45.0)
+        grids = {}
+        for key, (a, e) in {("random", "otfs"): (az, el), ("none", "ofdm"): (az, el),
+                            ("none", "afdm"): (other_az, other_el)}.items():
+            values = 10.0 ** rng.uniform(-300.0, 0.0, (a.size, e.size))
+            values[0, 0] = 1.0
+            grids[key] = MusicGrid(azimuth_rad=a, elevation_rad=e, values=values)
+        emit_results(MusicResult(grids=grids, peaks=[],
+                                 metadata={"true_angles_deg": [[10.0, 80.0]]}), tmp_path)
+        for (mode, name), grid in grids.items():
+            db = 10.0 * np.log10(grid.values)
+            rows = ["%.12g,%.12g,%.12g\n" % (a, e, db[i, j])
+                    for i, a in enumerate(np.rad2deg(grid.azimuth_rad))
+                    for j, e in enumerate(np.rad2deg(grid.elevation_rad))]
+            text = (tmp_path / f"music_spectrum_{mode}_{name}.csv").read_text()
+            assert text == "azimuth_deg,elevation_deg,value_db\n" + "".join(rows)
 
     def test_empty_results(self, tmp_path):
         emit_results(RateSweepResult(records=[], summary=[], metadata={}), tmp_path)
@@ -513,3 +598,42 @@ music_snr_db = none
         path.write_text("reuse_shapes = maybe\n")
         with pytest.raises(ValueError):
             parse_config_file(path)
+
+
+def _chebyshev_cost(truth, est):
+    return [[max(abs(t[0] - e[0]), abs(t[1] - e[1])) for e in est] for t in truth]
+
+
+class TestPeakMatching:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(data=st.data(), num_truth=st.integers(1, 6), extra=st.integers(0, 3))
+    def test_matches_brute_force_with_ties(self, data, num_truth, extra):
+        # whole-degree angles in a small range: sums are exact and ties many
+        num_est = min(num_truth + extra, 6)
+        point = st.tuples(st.integers(-3, 3), st.integers(0, 4)).map(
+            lambda p: (float(p[0]), float(p[1])))
+        truth = data.draw(st.lists(point, min_size=num_truth, max_size=num_truth))
+        est = data.draw(st.lists(point, min_size=num_est, max_size=num_est))
+        cost = _chebyshev_cost(truth, est)
+        perm = brute_force_assignment(cost)
+        pairing, short = harness._match_to_truth(truth, est)
+        assert not short
+        assert pairing == [(t, est[j], cost[i][j]) for i, (t, j) in enumerate(zip(truth, perm))]
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**16), num_truth=st.integers(1, 6), extra=st.integers(0, 2))
+    def test_least_total_on_real_angles(self, seed, num_truth, extra):
+        # real-valued angles: the total is the brute-force least total
+        rng = np.random.default_rng(seed)
+        truth = [tuple(p) for p in rng.uniform(-90.0, 90.0, (num_truth, 2))]
+        est = [tuple(p) for p in rng.uniform(-90.0, 90.0, (min(num_truth + extra, 6), 2))]
+        cost = _chebyshev_cost(truth, est)
+        best = sum(cost[i][j] for i, j in enumerate(brute_force_assignment(cost)))
+        pairing, _ = harness._match_to_truth(truth, est)
+        assert len({e for _, e, _ in pairing}) == num_truth
+        assert abs(sum(err for _, _, err in pairing) - best) <= 1e-9 * max(best, 1.0)
+
+    def test_fewer_estimates_take_the_nearest(self):
+        pairing, short = harness._match_to_truth([(0.0, 0.0), (10.0, 10.0)], [(9.0, 9.0)])
+        assert short
+        assert [err for _, _, err in pairing] == [9.0, 1.0]

@@ -8,6 +8,7 @@ from fimsim import (MusicGrid, MusicResult, OFDM, default_grid, emit_results,
                     random_surface, rx_covariance, steering_vector,
                     transmit_receive)
 from fimsim.geometry import PathAngles
+from fimsim.music import grid_steering
 
 from helpers import small_scenario, unvec_frame
 
@@ -181,6 +182,30 @@ class TestMusicSpectrum:
         g1 = music_spectrum(basis, scenario.rx_geometry, y_r, az, el)
         g2 = music_spectrum(basis @ q, scenario.rx_geometry, y_r, az, el)
         assert np.allclose(g1.values, g2.values, atol=1e-10)
+
+    def test_precomputed_steering_gives_same_grid(self):
+        # one steering matrix per receive shape serves every basis
+        scenario, y_t, y_r, mat = sensing_setup(seed=41, rx_elements_x=3,
+                                                rx_elements_z=2)
+        basis = noise_subspace(rx_covariance(mat), 1)
+        az, el = default_grid(5.0)
+        steering = grid_steering(scenario.rx_geometry, y_r, az, el, basis.shape[0])
+        assert steering.shape == (4, az.size * el.size)
+        direct = music_spectrum(basis, scenario.rx_geometry, y_r, az, el)
+        shared = music_spectrum(basis, scenario.rx_geometry, y_r, az, el, steering)
+        assert np.array_equal(direct.values, shared.values)
+        with pytest.raises(ValueError):
+            music_spectrum(basis, scenario.rx_geometry, y_r, az, el, steering[:3])
+
+    def test_pole_rows_take_one_value(self):
+        # every azimuth at elevation 0 or pi is one direction; rounding must
+        # not make one of them a strict maximum of its row
+        scenario, y_t, y_r, mat = sensing_setup(seed=42, num_paths=2)
+        basis = noise_subspace(rx_covariance(mat), 2)
+        grid = music_spectrum(basis, scenario.rx_geometry, y_r)
+        assert grid.elevation_rad[0] == 0.0 and grid.elevation_rad[-1] == np.pi
+        for pole in (grid.values[:, 0], grid.values[:, -1]):
+            assert np.all(pole == pole[0])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

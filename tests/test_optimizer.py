@@ -347,6 +347,12 @@ class TestObjectiveGradient:
         with pytest.raises(ValueError):
             objective_gradient(spec, scenario, y_t, y_r, float("nan"), 2.0, psi)
 
+    def test_rejects_negative_or_nan_psi(self):
+        scenario, spec, y_t, y_r, noise_var, _ = gradient_case(50, 2, "ofdm", 0.8)
+        for psi in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                objective_gradient(spec, scenario, y_t, y_r, noise_var, 2.0, psi)
+
     @settings(derandomize=True, max_examples=25, deadline=None, database=None)
     @given(seed=st.integers(0, 2**16), num_paths=st.integers(2, 5),
            counts=st.tuples(*[st.integers(1, 3)] * 4),
@@ -488,6 +494,12 @@ class TestOptimize:
         for noise_var in (0.0, -0.1, float("nan")):
             with pytest.raises(ValueError):
                 OptimizerConfig(noise_var=noise_var)
+
+    def test_requires_nonnegative_psi(self):
+        for psi in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                OptimizerConfig(noise_var=0.1, psi=psi)
+        assert OptimizerConfig(noise_var=0.1, psi=0.0).psi == 0.0
 
     def test_deterministic_given_rng_seed(self):
         scenario = small_scenario(seed=37)

@@ -12,7 +12,7 @@ from fimsim import (AFDM, OFDM, OTFS, ChannelScenario, achievable_rate,
                     random_frame, random_surface, transmit_receive,
                     waveform_factors, waveform_for)
 
-from helpers import oracle_td_channel, small_scenario, unvec_frame
+from helpers import oracle_td_channel, relative_error, small_scenario, unvec_frame
 
 ALL_SPECS = [OFDM(16), OTFS(4, 4), AFDM(16, c1=3 / 32, c2=0.01)]
 
@@ -252,7 +252,41 @@ class TestTransmitReceive:
         spec = OFDM(8)
         y = transmit_receive(spec, scenario, np.zeros(4), np.zeros(4), frame, 0.0, 99)
         h = effective_channel(spec, scenario, np.zeros(4), np.zeros(4))
-        assert np.array_equal(y, unvec_frame(h @ frame, 8, 4))
+        assert relative_error(y, unvec_frame(h @ frame, 8, 4)) <= 1e-12
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(data=st.data(), seed=st.integers(0, 2**16),
+           counts=st.tuples(*[st.integers(1, 3)] * 4),
+           block_length=st.sampled_from([7, 8, 9]),
+           waveform=st.sampled_from(["ofdm", "otfs", "afdm"]),
+           noise_var=st.sampled_from([0.0, 0.3]))
+    def test_property_matches_dense_channel(self, data, seed, counts, block_length,
+                                            waveform, noise_var):
+        # path-by-path transmission against the dense symbol-domain channel,
+        # on rectangular arrays, odd and even N, and P from 1 to past d_s;
+        # the noise is the same draw the dense route adds
+        tx_x, tx_z, rx_x, rx_z = counts
+        num_streams = min(tx_x * tx_z, rx_x * rx_z)
+        num_paths = data.draw(st.integers(1, num_streams + 2), label="num_paths")
+        scenario = small_scenario(seed, block_length, num_paths,
+                                  tx_elements_x=tx_x, tx_elements_z=tx_z,
+                                  rx_elements_x=rx_x, rx_elements_z=rx_z)
+        rng = np.random.default_rng(seed)
+        y_t = random_surface(scenario.tx_geometry, rng)
+        y_r = random_surface(scenario.rx_geometry, rng)
+        frame = random_frame(block_length, num_streams, rng)
+        otfs = {7: OTFS(7, 1), 8: OTFS(2, 4), 9: OTFS(3, 3)}[block_length]
+        spec = {"ofdm": OFDM(block_length), "otfs": otfs,
+                "afdm": default_afdm(scenario)}[waveform]
+
+        got = transmit_receive(spec, scenario, y_t, y_r, frame, noise_var, seed)
+        clean = effective_channel(spec, scenario, y_t, y_r) @ frame
+        draws = np.random.default_rng(seed)
+        noise = np.sqrt(noise_var / 2.0) * (draws.standard_normal(frame.size)
+                                            + 1j * draws.standard_normal(frame.size))
+        want = unvec_frame(clean + noise, block_length, num_streams)
+        assert got.shape == (num_streams, block_length)
+        assert relative_error(got, want) <= 1e-12
 
     def test_deterministic_per_seed(self, rng):
         scenario = small_scenario(seed=13)
